@@ -15,7 +15,8 @@
 //! {
 //!   "benches":    [{"id": ..., "mean_ns": ..., "median_ns": ..., "p95_ns": ..., "iters": ...}],
 //!   "throughput": [{"id": ..., "bytes_per_op": ..., "median_ns": ..., "gib_per_s": ...}],
-//!   "precision":  [{"id": ..., "log_n": ..., "scale_mode": ..., "precision_bits": ..., "paper_floor": 19.29}]
+//!   "precision":  [{"id": ..., "log_n": ..., "scale_mode": ..., "precision_bits": ..., "paper_floor": 19.29}],
+//!   "ratios":     [{"id": ..., "numerator": ..., "denominator": ..., "ratio": ...}]
 //! }
 //! ```
 //!
@@ -331,12 +332,33 @@ fn main() {
         ));
     }
 
+    // --- Within-run ratio: host speed cancels, so it carries across
+    // hosts. Full-level decode against encode on the fp64 datapath.
+    let median = |id: &str| {
+        benches
+            .iter()
+            .find(|r| r.id == id)
+            .map(|r| r.median_secs)
+            .expect("row measured above")
+    };
+    let (ratio_id, num, den) = (
+        "client/decode_over_encode/2^13",
+        "client/decode_fp64/2^13",
+        "client/encode_fp64/2^13",
+    );
+    let ratio = median(num) / median(den);
+    println!("{ratio_id:<40} {ratio:.3} ({num} / {den} medians)");
+    let ratio_row = format!(
+        "  {{\"id\": \"{ratio_id}\", \"numerator\": \"{num}\", \"denominator\": \"{den}\", \"ratio\": {ratio:.4}}}"
+    );
+
     let bench_json = criterion::records_to_json(&benches);
     let json = format!(
-        "{{\n\"benches\": {},\n\"throughput\": [\n{}\n],\n\"precision\": [\n{}\n]\n}}\n",
+        "{{\n\"benches\": {},\n\"throughput\": [\n{}\n],\n\"precision\": [\n{}\n],\n\"ratios\": [\n{}\n]\n}}\n",
         bench_json.trim_end(),
         throughput_rows.join(",\n"),
-        precision_rows.join(",\n")
+        precision_rows.join(",\n"),
+        ratio_row
     );
     std::fs::write(&out_path, &json).expect("write snapshot");
     for r in &benches {

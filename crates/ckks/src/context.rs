@@ -397,35 +397,22 @@ impl CkksContext {
         if pt.n != self.params.n() || pt.num_primes() > self.basis.len() {
             return Err(CkksError::ContextMismatch);
         }
-        let n = self.params.n();
-        let lvl = pt.num_primes();
         // INTT each residue polynomial (paper: INTT stage of decoding),
         // all limbs batched through the engine's thread fan-out.
         let mut res: Vec<Vec<u64>> = pt.rns.clone();
         self.engine.inverse_all(&mut res);
-        // CRT-combine per coefficient to the *exact* centered integer,
-        // then divide by the exact rational scale in double-double
-        // precision — the quotient enters the embedding at the
-        // datapath's full width (ExtF64 keeps all ~106 bits; the f64
-        // view is one final rounding, exactly as before).
-        let sub_basis = if lvl == self.basis.len() {
-            self.basis.clone()
-        } else {
-            self.basis.truncated(lvl)
-        };
-        let modulus_product = sub_basis.product();
+        // Lift every coefficient to the *exact* centered integer, then
+        // divide by the exact rational scale in double-double precision
+        // — the quotient enters the embedding at the datapath's full
+        // width (ExtF64 keeps all ~106 bits; the f64 view is one final
+        // rounding).
         let divisor = pt.scale.divisor();
         let field = engine.plan().field();
-        let mut coeffs = vec![F::Real::default(); n];
-        let mut residues = vec![0u64; lvl];
-        for (j, c) in coeffs.iter_mut().enumerate() {
-            for (r, limb) in residues.iter_mut().zip(&res) {
-                *r = limb[j];
-            }
-            let (negative, mag) =
-                sub_basis.combine_centered_big_with_product(&residues, &modulus_product);
-            *c = field.from_ext(divisor.apply_ext(negative, &mag));
-        }
+        let coeffs = self.basis.lift_centered(
+            &res,
+            |negative, mag| field.from_ext(divisor.apply_u128_ext(negative, mag)),
+            |negative, mag| field.from_ext(divisor.apply_ext(negative, mag)),
+        );
         // Coefficients → slots, ready for the forward embedding.
         Ok(engine.plan().coeffs_to_slots(&coeffs))
     }

@@ -270,7 +270,24 @@ impl ScaleDivisor {
         if mag.is_zero() {
             return ExtF64::zero();
         }
-        let (xm, xe) = ubig_ext(mag);
+        self.divide(negative, ubig_ext(mag))
+    }
+
+    /// [`Self::apply_ext`] for a magnitude held in a `u128` — decode's
+    /// entry for coefficients from [`abc_math::RnsBasis::lift_centered`].
+    /// Bit-identical to `apply_ext(negative, &UBig::from(mag))`, with no
+    /// big-integer allocation.
+    pub fn apply_u128_ext(&self, negative: bool, mag: u128) -> ExtF64 {
+        if mag == 0 {
+            return ExtF64::zero();
+        }
+        let bits = 128 - i64::from(mag.leading_zeros());
+        let shift = (bits - 106).max(0);
+        self.divide(negative, (top_ext(mag >> shift), shift))
+    }
+
+    /// `±mantissa · 2^exp / scale` for a [`ubig_ext`]-normalized input.
+    fn divide(&self, negative: bool, (xm, xe): (ExtF64, i64)) -> ExtF64 {
         let v = (xm * self.factor).ldexp((xe + self.exp) as i32);
         if negative {
             -v
@@ -313,9 +330,15 @@ fn ubig_ext(x: &UBig) -> (ExtF64, i64) {
         let s = bits - 106;
         (x.shr(s as u32).to_u128().expect("106-bit prefix"), s)
     };
+    (top_ext(top), shift)
+}
+
+/// A value of at most 106 bits as an exact double-double.
+fn top_ext(top: u128) -> ExtF64 {
+    debug_assert!(top >> 106 == 0);
     let hi = ((top >> 53) as u64) as f64 * abc_float::extended::pow2(53);
     let lo = (top as u64 & ((1u64 << 53) - 1)) as f64;
-    (ExtF64::from_sum(hi, lo), shift)
+    ExtF64::from_sum(hi, lo)
 }
 
 #[cfg(test)]

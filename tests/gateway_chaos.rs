@@ -4,13 +4,17 @@
 //! resolve to success or a typed error (zero lost/hung requests),
 //! panicked workers must respawn, and post-storm throughput must
 //! recover to within 10% of the clean baseline.
+//!
+//! The tests run one at a time (see [`serial`]): the throughput test
+//! compares two wall-clock rates, and sibling tests competing for the
+//! same cores would skew one rate and not the other.
 
 use abc_fhe::float::Complex;
 use abc_fhe::gateway::{
     FaultPlan, Gateway, GatewayConfig, GatewayError, Operation, Request, Response, UploadMode,
 };
 use abc_fhe::prng::Seed;
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Silences the expected panic spam from injected faults (process-wide,
@@ -29,6 +33,13 @@ fn quiet_injected_panics() {
             }
         }));
     });
+}
+
+/// Serializes the tests of this binary. Hold the guard for the whole
+/// test. A poisoned lock only means an earlier test failed.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn config() -> GatewayConfig {
@@ -135,6 +146,7 @@ fn run_workload(
 
 #[test]
 fn every_request_resolves_under_the_storm_and_workers_respawn() {
+    let _serial = serial();
     quiet_injected_panics();
     let gw = Arc::new(Gateway::start(config()).expect("start"));
     gw.set_fault_plan(storm());
@@ -192,6 +204,7 @@ fn every_request_resolves_under_the_storm_and_workers_respawn() {
 
 #[test]
 fn throughput_recovers_within_ten_percent_after_the_storm() {
+    let _serial = serial();
     quiet_injected_panics();
     let gw = Arc::new(Gateway::start(config()).expect("start"));
     // Warm up pools and sessions.
@@ -230,6 +243,7 @@ fn throughput_recovers_within_ten_percent_after_the_storm() {
 
 #[test]
 fn queue_full_bursts_shed_with_typed_errors_and_degrade_uploads() {
+    let _serial = serial();
     quiet_injected_panics();
     let gw = Arc::new(
         Gateway::start(GatewayConfig {
@@ -304,6 +318,7 @@ fn queue_full_bursts_shed_with_typed_errors_and_degrade_uploads() {
 
 #[test]
 fn damaged_wire_blobs_are_typed_rejections_not_crashes() {
+    let _serial = serial();
     quiet_injected_panics();
     let gw = Gateway::start(config()).expect("start");
     let Response::Encrypted { blob, .. } = gw
@@ -354,6 +369,7 @@ fn damaged_wire_blobs_are_typed_rejections_not_crashes() {
 
 #[test]
 fn fault_schedule_replays_bit_exactly() {
+    let _serial = serial();
     quiet_injected_panics();
     // Same seed + same single-threaded submission order ⇒ identical
     // per-request outcome classes on two independent gateways.
