@@ -509,11 +509,12 @@ mod tests {
 
     #[test]
     fn string_consts_resolve() {
-        let src = "pub const THREADS_ENV: &str = \"ABC_FHE_THREADS\";\nstatic OTHER: &'static str = \"X\";";
+        let src =
+            "pub const LOG_N_ENV: &str = \"ABC_FHE_LOG_N\";\nstatic OTHER: &'static str = \"X\";";
         let f = File::parse("a.rs", src);
         assert!(f
             .consts
-            .contains(&("THREADS_ENV".into(), "ABC_FHE_THREADS".into())));
+            .contains(&("LOG_N_ENV".into(), "ABC_FHE_LOG_N".into())));
         assert!(f.consts.contains(&("OTHER".into(), "X".into())));
     }
 

@@ -219,8 +219,8 @@ mod tests {
 #[test]
 fn direct_env_var_on_abc_fhe_key_fires() {
     let src = r#"
-pub fn threads() -> Option<String> {
-    std::env::var("ABC_FHE_THREADS").ok()
+pub fn log_n() -> Option<String> {
+    std::env::var("ABC_FHE_LOG_N").ok()
 }
 "#;
     let found = findings("crates/x/src/a.rs", src);
@@ -230,15 +230,15 @@ pub fn threads() -> Option<String> {
 #[test]
 fn env_var_through_const_is_still_caught() {
     let src = r#"
-pub const THREADS_ENV: &str = "ABC_FHE_THREADS";
+pub const LOG_N_ENV: &str = "ABC_FHE_LOG_N";
 
-pub fn threads() -> Option<String> {
-    std::env::var(THREADS_ENV).ok()
+pub fn log_n() -> Option<String> {
+    std::env::var(LOG_N_ENV).ok()
 }
 "#;
     let found = findings("crates/x/src/a.rs", src);
     assert_eq!(rules(&found), ["env-access"], "{found:?}");
-    assert!(found[0].message.contains("ABC_FHE_THREADS"));
+    assert!(found[0].message.contains("ABC_FHE_LOG_N"));
 }
 
 #[test]
@@ -250,7 +250,7 @@ fn set_var_in_tests_is_also_flagged() {
 mod tests {
     #[test]
     fn racy() {
-        std::env::set_var("ABC_FHE_THREADS", "1");
+        std::env::set_var("ABC_FHE_LOG_N", "1");
     }
 }
 "#;
@@ -269,7 +269,7 @@ pub fn path() -> Option<String> {
 
     let guard = r#"
 pub fn set(key: &str, value: &str) {
-    std::env::set_var("ABC_FHE_THREADS", value);
+    std::env::set_var("ABC_FHE_LOG_N", value);
     let _ = key;
 }
 "#;
@@ -325,13 +325,69 @@ pub fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     assert!(findings("crates/gateway/src/sync.rs", src).is_empty());
 }
 
+// ---------------------------------------------------------------- rule 6
+
+#[test]
+fn thread_fan_outs_in_library_code_fire() {
+    let src = r#"
+use std::sync::Barrier;
+
+pub fn stage_threaded(data: &mut [u64]) {
+    let barrier = Barrier::new(2);
+    std::thread::scope(|s| {
+        for chunk in data.chunks_mut(2) {
+            s.spawn(|| chunk[0] += 1);
+        }
+    });
+    let _ = std::thread::spawn(|| ());
+    let _ = std::thread::Builder::new();
+    let _ = barrier;
+}
+"#;
+    let found = findings("crates/x/src/a.rs", src);
+    assert_eq!(
+        rules(&found),
+        ["thread-spawn"; 5],
+        "use + new Barrier, scope, spawn, Builder: {found:?}"
+    );
+    assert_eq!(found[0].line, 2);
+}
+
+#[test]
+fn single_threaded_tests_bins_and_other_roots_are_clean() {
+    // Thread queries, comments, strings and `s.spawn` inside an
+    // already-flagged scope are not spawn sites.
+    let clean = r#"
+/// No `thread::scope` here, and no Barrier either.
+pub fn cores() -> usize {
+    let _ = "std::thread::spawn";
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn handoff() {
+        std::thread::spawn(|| ()).join().unwrap();
+    }
+}
+"#;
+    assert!(findings("crates/x/src/a.rs", clean).is_empty());
+    let spawn = "pub fn go() { std::thread::spawn(|| ()); }\n";
+    // Drivers and test-side code are out of the rule's scope.
+    assert!(findings("crates/gateway/src/bin/loadgen.rs", spawn).is_empty());
+    assert!(findings("crates/x/tests/t.rs", spawn).is_empty());
+    assert!(findings("perfbench/src/main.rs", spawn).is_empty());
+    assert!(findings("examples/demo.rs", spawn).is_empty());
+}
+
 // ------------------------------------------------------------ allowlist
 
 #[test]
 fn allowlist_suppresses_and_reports_stale_entries() {
     let src = r#"
-pub fn threads() -> Option<String> {
-    std::env::var("ABC_FHE_THREADS").ok()
+pub fn log_n() -> Option<String> {
+    std::env::var("ABC_FHE_LOG_N").ok()
 }
 "#;
     let found = findings("crates/x/src/a.rs", src);
@@ -341,7 +397,7 @@ pub fn threads() -> Option<String> {
 [[allow]]
 rule = "env-access"
 path = "crates/x/src/a.rs"
-contains = "ABC_FHE_THREADS"
+contains = "ABC_FHE_LOG_N"
 justification = "fixture"
 
 [[allow]]

@@ -34,4 +34,18 @@ fn live_workspace_is_clean_under_the_committed_allowlist() {
         !outcome.allowed.is_empty(),
         "expected the sanctioned env read sites to be allowlisted"
     );
+    // One parallelism policy: exactly one limb fan-out `thread::scope`
+    // and one worker-pool `thread::Builder` in library code, no more.
+    let mut threads: Vec<(&str, &str)> = outcome
+        .allowed
+        .iter()
+        .filter(|a| a.finding.rule == "thread-spawn")
+        .map(|a| (a.finding.path.as_str(), a.finding.excerpt.as_str()))
+        .collect();
+    threads.sort();
+    assert_eq!(threads.len(), 2, "{threads:?}");
+    assert_eq!(threads[0].0, "crates/gateway/src/service.rs");
+    assert!(threads[0].1.contains("std::thread::Builder"), "{threads:?}");
+    assert_eq!(threads[1].0, "crates/transform/src/rns_ntt.rs");
+    assert!(threads[1].1.contains("std::thread::scope"), "{threads:?}");
 }

@@ -1,14 +1,12 @@
 //! Criterion benchmarks for the Fourier layer: negacyclic NTT — Harvey
 //! fast path vs the golden scalar kernel vs on-the-fly twiddles —
 //! batched RNS transforms at 1 and many threads, and the CKKS special
-//! FFT: on-the-fly vs planned-twiddle vs batch engine, on the FP64,
-//! FP55 and ExtF64 datapaths.
+//! FFT: on-the-fly vs planned-twiddle (Auto dispatch vs forced scalar),
+//! on the FP64, FP55 and ExtF64 datapaths.
 
 use abc_float::{Complex, ExtF64Field, F64Field, RealField, SoftFloatField};
 use abc_math::{primes::generate_ntt_primes, Modulus};
-use abc_transform::{
-    FftKernelPreference, NttPlan, OtfTwiddleGen, RnsNttEngine, SpecialFft, SpecialFftEngine,
-};
+use abc_transform::{FftKernelPreference, NttPlan, OtfTwiddleGen, RnsNttEngine, SpecialFft};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_ntt(c: &mut Criterion) {
@@ -94,7 +92,7 @@ fn bench_rns_engine(c: &mut Criterion) {
     g.finish();
 }
 
-/// One datapath's forward/OTF/engine sweep at a given slot count.
+/// One datapath's planned/scalar/OTF forward sweep at a given slot count.
 fn bench_fft_field<F: RealField>(
     g: &mut criterion::BenchmarkGroup,
     field: F,
@@ -148,23 +146,6 @@ fn bench_fft_field<F: RealField>(
             },
         );
     }
-    // Batch engine, 4 vectors, single thread (the bench box has one
-    // vCPU; thread fan-out is measured on multi-core hosts).
-    let engine = SpecialFftEngine::with_threads(field, slots, 1);
-    let batch0: Vec<Vec<Complex<F::Real>>> = (0..4).map(|_| vals.clone()).collect();
-    let mut batch = batch0.clone();
-    g.bench_with_input(
-        BenchmarkId::new(format!("forward_engine_batch4_{label}"), slots),
-        &slots,
-        |b, _| {
-            b.iter(|| {
-                for (dst, src) in batch.iter_mut().zip(&batch0) {
-                    dst.copy_from_slice(src);
-                }
-                engine.forward_batch(black_box(&mut batch));
-            })
-        },
-    );
 }
 
 fn bench_fft(c: &mut Criterion) {
@@ -174,31 +155,12 @@ fn bench_fft(c: &mut Criterion) {
         // OTF at every size: the planned-vs-OTF ratio is the headline
         // (acceptance: planned ≥ 3× OTF at N = 2^15, i.e. 2^14 slots).
         bench_fft_field(&mut g, F64Field, "fp64", slots, true);
-        // Reduced and extended datapaths: planned + engine only at the
+        // Reduced and extended datapaths: planned rows only at the
         // small sizes (ExtF64 OTF regenerates 192-bit fixed-point
         // twiddles per butterfly — benchmarked once, below).
         if log_slots <= 12 {
             bench_fft_field(&mut g, SoftFloatField::fp55(), "fp55", slots, false);
             bench_fft_field(&mut g, ExtF64Field, "extf64", slots, log_slots == 11);
-        }
-    }
-    // Intra-transform threading: ONE large transform with its stages
-    // split across worker threads (engaged from slots = 2^12 up).
-    for log_slots in [13u32, 14] {
-        let slots = 1usize << log_slots;
-        let vals: Vec<Complex> = (0..slots)
-            .map(|i| Complex::new((i as f64).sin(), (i as f64).cos()))
-            .collect();
-        let mut buf = vals.clone();
-        for threads in [1usize, 2, 4] {
-            let engine = SpecialFftEngine::with_threads(F64Field, slots, threads);
-            let id = BenchmarkId::new(format!("forward_intra_t{threads}_fp64"), slots);
-            g.bench_with_input(id, &slots, |b, _| {
-                b.iter(|| {
-                    buf.copy_from_slice(&vals);
-                    engine.forward(black_box(&mut buf));
-                })
-            });
         }
     }
     g.finish();

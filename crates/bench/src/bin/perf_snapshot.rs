@@ -30,7 +30,7 @@ use abc_ckks::precision::{
 use abc_ckks::CkksContext;
 use abc_float::{Complex, F64Field};
 use abc_prng::Seed;
-use abc_transform::{FftKernelPreference, NttPlan, RnsNttEngine, SpecialFft, SpecialFftEngine};
+use abc_transform::{FftKernelPreference, NttPlan, RnsNttEngine, SpecialFft};
 use criterion::BenchRecord;
 use std::time::Instant;
 
@@ -175,8 +175,9 @@ fn main() {
         benches.push(measure("rns_ntt/forward_24limbs/2^13", 300, || {
             engine.forward_all(&mut limbs);
         }));
-        // Thread-scaling rows (flat on the 1-vCPU CI box; the ids keep
-        // multi-core hosts comparable in the same artifact).
+        // Thread-scaling rows of the limb fan-out, the one intra-op
+        // threading left (flat on a 1-vCPU box; the ids keep multi-core
+        // hosts comparable in the same artifact).
         for threads in [1usize, 2, 4] {
             let engine = RnsNttEngine::with_threads(&moduli, n, threads).expect("engine");
             benches.push(measure(
@@ -208,7 +209,7 @@ fn main() {
         }));
     }
 
-    // --- SpecialFft: kernel ladder + intra-transform threading ---
+    // --- SpecialFft: kernel ladder ---
     {
         let slots = 1usize << 14; // N = 2^15
         let plan = SpecialFft::new(slots);
@@ -254,20 +255,6 @@ fn main() {
             buf.copy_from_slice(&vals);
             plan.forward_otf(&mut buf);
         }));
-        // Intra-transform thread scaling: one big transform, stages
-        // split across workers (flat on the 1-vCPU CI box, comparable
-        // across hosts).
-        for threads in [1usize, 2, 4] {
-            let engine = SpecialFftEngine::with_threads(F64Field, slots, threads);
-            benches.push(measure(
-                &format!("special_fft/forward_intra_t{threads}_fp64/2^14"),
-                200,
-                || {
-                    buf.copy_from_slice(&vals);
-                    engine.forward(&mut buf);
-                },
-            ));
-        }
     }
 
     // --- Embedding datapaths: encode/decode medians + precision ---

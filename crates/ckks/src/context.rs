@@ -13,8 +13,8 @@ use abc_transform::{NttPlan, RnsNttEngine, SpecialFftEngine};
 
 /// The context's canonical-embedding engine, instantiated at the
 /// datapath selected by [`CkksParams::embedding_precision`] — one
-/// planned per-(slots, datapath) twiddle table plus the batch thread
-/// fan-out, built once per context.
+/// planned per-(slots, datapath) twiddle table plus pooled slot
+/// buffers, built once per context.
 #[derive(Debug)]
 pub enum EmbeddingEngine {
     /// IEEE binary64 (the reference datapath).
@@ -68,9 +68,15 @@ macro_rules! with_embedding {
 
 /// A ready-to-use CKKS client: owns the RNS basis, a batched
 /// [`RnsNttEngine`] (one Harvey-butterfly NTT plan per prime, limb
-/// fan-out across threads), and a batched [`SpecialFftEngine`] holding
-/// the planned canonical-embedding twiddle table at the configured
-/// [`EmbeddingPrecision`].
+/// fan-out across threads), and a single-threaded [`SpecialFftEngine`]
+/// holding the planned canonical-embedding twiddle table at the
+/// configured [`EmbeddingPrecision`].
+///
+/// The NTT engine's limb fan-out is the context's only threading, and
+/// its width is fixed at construction: [`Self::new`] uses the available
+/// cores, up to eight (a standalone client), [`Self::with_threads`] an
+/// explicit count (a server running one single-threaded context per
+/// request worker).
 ///
 /// The four public operations mirror the paper's Fig. 2a:
 /// [`encode`](Self::encode) (IFFT → expand RNS → NTT),
@@ -87,13 +93,24 @@ pub struct CkksContext {
 
 impl CkksContext {
     /// Builds a context: generates the NTT-prime basis and all transform
-    /// plans.
+    /// plans, with the NTT engine's default limb fan-out
+    /// ([`RnsNttEngine::default_threads`]).
     ///
     /// # Errors
     ///
     /// Returns [`CkksError::Math`] if prime generation or root finding
     /// fails for the requested parameters.
     pub fn new(params: CkksParams) -> Result<Self, CkksError> {
+        Self::with_threads(params, RnsNttEngine::default_threads())
+    }
+
+    /// [`Self::new`] with an explicit limb fan-out for the NTT engine
+    /// (`1` keeps every operation on the calling thread).
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::new`].
+    pub fn with_threads(params: CkksParams, threads: usize) -> Result<Self, CkksError> {
         let n = params.n();
         // The level-0 prime carries headroom above the scale: a coefficient
         // of a maximal-amplitude message reaches Δ·√2, so decryption at
@@ -110,7 +127,7 @@ impl CkksContext {
             )?);
         }
         let basis = RnsBasis::new(primes)?;
-        let engine = RnsNttEngine::new(basis.moduli(), n)?;
+        let engine = RnsNttEngine::with_threads(basis.moduli(), n, threads)?;
         let embedding = EmbeddingEngine::build(params.embedding_precision(), params.slots());
         Ok(Self {
             params,
@@ -141,7 +158,7 @@ impl CkksContext {
     }
 
     /// The canonical-embedding engine at the configured
-    /// [`EmbeddingPrecision`] (planned twiddles + batch thread fan-out).
+    /// [`EmbeddingPrecision`] (planned twiddles + pooled slot buffers).
     pub fn embedding(&self) -> &EmbeddingEngine {
         &self.embedding
     }
@@ -266,7 +283,7 @@ impl CkksContext {
         message: &[Complex],
         scale: &ExactScale,
     ) -> Result<Plaintext, CkksError> {
-        let engine = SpecialFftEngine::with_threads(field.clone(), self.params.slots(), 1);
+        let engine = SpecialFftEngine::new(field.clone(), self.params.slots());
         self.encode_core(&engine, message, scale)
     }
 
@@ -370,35 +387,23 @@ impl CkksContext {
         field: &F,
         pt: &Plaintext,
     ) -> Result<Vec<Complex>, CkksError> {
-        let engine = SpecialFftEngine::with_threads(field.clone(), self.params.slots(), 1);
+        let engine = SpecialFftEngine::new(field.clone(), self.params.slots());
         self.decode_core(&engine, pt)
     }
 
     /// The generic decode kernel: INTT, exact CRT lift, double-double
-    /// scale division, forward embedding on `engine`'s datapath.
+    /// scale division, re/im packing, forward embedding on `engine`'s
+    /// datapath.
     fn decode_core<F: RealField>(
         &self,
         engine: &SpecialFftEngine<F>,
         pt: &Plaintext,
     ) -> Result<Vec<Complex>, CkksError> {
-        let mut vals = self.decode_to_slots(engine, pt)?;
-        engine.forward(&mut vals);
-        let field = engine.plan().field();
-        Ok(vals.into_iter().map(|v| v.to_f64_in(field)).collect())
-    }
-
-    /// Everything decode does *before* the forward embedding: INTT,
-    /// exact CRT lift, double-double scale division, re/im packing.
-    fn decode_to_slots<F: RealField>(
-        &self,
-        engine: &SpecialFftEngine<F>,
-        pt: &Plaintext,
-    ) -> Result<Vec<Complex<F::Real>>, CkksError> {
         if pt.n != self.params.n() || pt.num_primes() > self.basis.len() {
             return Err(CkksError::ContextMismatch);
         }
         // INTT each residue polynomial (paper: INTT stage of decoding),
-        // all limbs batched through the engine's thread fan-out.
+        // all limbs batched through the NTT engine's limb fan-out.
         let mut res: Vec<Vec<u64>> = pt.rns.clone();
         self.engine.inverse_all(&mut res);
         // Lift every coefficient to the *exact* centered integer, then
@@ -413,184 +418,31 @@ impl CkksContext {
             |negative, mag| field.from_ext(divisor.apply_u128_ext(negative, mag)),
             |negative, mag| field.from_ext(divisor.apply_ext(negative, mag)),
         );
-        // Coefficients → slots, ready for the forward embedding.
-        Ok(engine.plan().coeffs_to_slots(&coeffs))
+        // Coefficients → slots, then the forward embedding.
+        let mut vals = engine.plan().coeffs_to_slots(&coeffs);
+        engine.forward(&mut vals);
+        Ok(vals.into_iter().map(|v| v.to_f64_in(field)).collect())
     }
 
-    /// Encodes a batch of messages, fanning the inverse-embedding FFTs
-    /// out across the engine's threads (`ABC_FHE_THREADS`). Bit-identical
-    /// to encoding each message with [`Self::encode`].
+    /// Encodes a batch of messages: [`Self::encode`] per message, in
+    /// order, on the context's pooled slot buffers.
     ///
     /// # Errors
     ///
     /// See [`Self::encode`]; the first failing message aborts the batch.
     pub fn encode_batch(&self, messages: &[Vec<Complex>]) -> Result<Vec<Plaintext>, CkksError> {
-        let scale = ExactScale::from_log2(self.params.effective_scale_bits());
-        with_embedding!(self, e => {
-            let slots = self.params.slots();
-            let field = *e.plan().field();
-            for m in messages {
-                if m.len() > slots {
-                    return Err(CkksError::TooManySlots {
-                        got: m.len(),
-                        max: slots,
-                    });
-                }
-            }
-            // Stage 1: all inverse FFTs, thread fan-out over the batch.
-            let mut batch: Vec<_> = messages
-                .iter()
-                .map(|m| {
-                    let mut vals = e.take_buf();
-                    for (dst, &z) in vals.iter_mut().zip(m) {
-                        *dst = z.lift_in(&field);
-                    }
-                    vals
-                })
-                .collect();
-            e.inverse_batch(&mut batch);
-            // Stage 2: per-message exact quantization + batched NTTs
-            // (the NTT engine fans limbs out internally).
-            batch
-                .into_iter()
-                .map(|vals| {
-                    let coeffs = e.plan().slots_to_coeffs(&vals);
-                    e.recycle(vals);
-                    Ok(Plaintext {
-                        rns: self.quantize_coeffs(&field, &coeffs, &scale)?,
-                        scale: scale.clone(),
-                        n: self.params.n(),
-                    })
-                })
-                .collect()
-        })
+        messages.iter().map(|m| self.encode(m)).collect()
     }
 
-    /// Decodes a batch of plaintexts, fanning the forward-embedding FFTs
-    /// out across the engine's threads. Bit-identical to decoding each
-    /// with [`Self::decode`].
+    /// Decodes a batch of plaintexts: [`Self::decode`] per plaintext, in
+    /// order.
     ///
     /// # Errors
     ///
     /// See [`Self::decode`]; the first failing plaintext aborts the
     /// batch.
     pub fn decode_batch(&self, pts: &[Plaintext]) -> Result<Vec<Vec<Complex>>, CkksError> {
-        with_embedding!(self, e => {
-            let field = *e.plan().field();
-            let mut batch = pts
-                .iter()
-                .map(|pt| self.decode_to_slots(e, pt))
-                .collect::<Result<Vec<_>, _>>()?;
-            e.forward_batch(&mut batch);
-            Ok(batch
-                .into_iter()
-                .map(|v| v.into_iter().map(|z| z.to_f64_in(&field)).collect())
-                .collect())
-        })
-    }
-
-    /// [`Self::encode_batch`] as a two-stage software pipeline: a
-    /// producer thread runs the inverse-embedding FFT of message `i+1`
-    /// while this thread Δ-rounds and NTTs message `i`, with a
-    /// depth-2 channel between the stages. The producer transforms on
-    /// the *plan* (single-threaded per message) so the NTT engine's own
-    /// limb fan-out is never oversubscribed. Bit-identical to
-    /// [`Self::encode_batch`] and to encoding each message with
-    /// [`Self::encode`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::encode`]; the first failing message aborts the batch.
-    pub fn encode_batch_pipelined(
-        &self,
-        messages: &[Vec<Complex>],
-    ) -> Result<Vec<Plaintext>, CkksError> {
-        let scale = ExactScale::from_log2(self.params.effective_scale_bits());
-        with_embedding!(self, e => {
-            let slots = self.params.slots();
-            let field = *e.plan().field();
-            for m in messages {
-                if m.len() > slots {
-                    return Err(CkksError::TooManySlots {
-                        got: m.len(),
-                        max: slots,
-                    });
-                }
-            }
-            let plan = e.plan();
-            let (tx, rx) = std::sync::mpsc::sync_channel(2);
-            std::thread::scope(|s| {
-                // Stage 1 (producer): lift + inverse embedding through
-                // the engine's pooled slot buffers, one message ahead.
-                s.spawn(move || {
-                    for m in messages {
-                        let mut vals = e.take_buf();
-                        for (dst, &z) in vals.iter_mut().zip(m) {
-                            *dst = z.lift_in(&field);
-                        }
-                        plan.inverse(&mut vals);
-                        let coeffs = plan.slots_to_coeffs(&vals);
-                        e.recycle(vals);
-                        if tx.send(coeffs).is_err() {
-                            break; // consumer aborted on a quantize error
-                        }
-                    }
-                });
-                // Stage 2 (this thread): exact Δ-rounding + batched NTT,
-                // overlapping the producer's FFT of the next message.
-                let mut out = Vec::with_capacity(messages.len());
-                for coeffs in rx {
-                    out.push(Plaintext {
-                        rns: self.quantize_coeffs(&field, &coeffs, &scale)?,
-                        scale: scale.clone(),
-                        n: self.params.n(),
-                    });
-                }
-                Ok(out)
-            })
-        })
-    }
-
-    /// [`Self::decode_batch`] as a two-stage software pipeline: a
-    /// producer thread runs INTT + exact CRT lift + scale division of
-    /// plaintext `i+1` while this thread runs the forward embedding of
-    /// plaintext `i`. Bit-identical to [`Self::decode_batch`] and to
-    /// decoding each plaintext with [`Self::decode`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::decode`]; the first failing plaintext aborts the
-    /// batch.
-    pub fn decode_batch_pipelined(
-        &self,
-        pts: &[Plaintext],
-    ) -> Result<Vec<Vec<Complex>>, CkksError> {
-        with_embedding!(self, e => {
-            let field = *e.plan().field();
-            let plan = e.plan();
-            let (tx, rx) = std::sync::mpsc::sync_channel(2);
-            std::thread::scope(|s| {
-                // Stage 1 (producer): the pre-embedding half of decode,
-                // one plaintext ahead. Errors flow through the channel.
-                s.spawn(move || {
-                    for pt in pts {
-                        let res = self.decode_to_slots(e, pt);
-                        let failed = res.is_err();
-                        if tx.send(res).is_err() || failed {
-                            break;
-                        }
-                    }
-                });
-                // Stage 2 (this thread): forward embedding + narrowing.
-                let mut out = Vec::with_capacity(pts.len());
-                for slots in rx {
-                    let mut vals = slots?;
-                    plan.forward(&mut vals);
-                    out.push(vals.into_iter().map(|z| z.to_f64_in(&field)).collect());
-                }
-                Ok(out)
-            })
-        })
+        pts.iter().map(|pt| self.decode(pt)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -997,27 +849,31 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_batch_encode_decode_bit_identical() {
+    fn batch_encode_decode_match_per_message_calls() {
         let ctx = small_context();
         let slots = ctx.params().slots();
         let msgs: Vec<Vec<Complex>> = (0..5).map(|i| test_message(slots - 7 * i)).collect();
-        let serial = ctx.encode_batch(&msgs).unwrap();
-        let piped = ctx.encode_batch_pipelined(&msgs).unwrap();
-        assert_eq!(serial, piped, "pipelined encode must match batch encode");
-        let dec_serial = ctx.decode_batch(&serial).unwrap();
-        let dec_piped = ctx.decode_batch_pipelined(&piped).unwrap();
+        let pts = ctx.encode_batch(&msgs).unwrap();
+        let single: Vec<_> = msgs.iter().map(|m| ctx.encode(m).unwrap()).collect();
+        assert_eq!(pts, single, "batch encode must match per-message encode");
+        let decoded = ctx.decode_batch(&pts).unwrap();
+        let single: Vec<_> = pts.iter().map(|pt| ctx.decode(pt).unwrap()).collect();
         assert_eq!(
-            dec_serial, dec_piped,
-            "pipelined decode must match batch decode"
+            decoded, single,
+            "batch decode must match per-message decode"
         );
     }
 
     #[test]
-    fn pipelined_batch_propagates_errors() {
+    fn batch_calls_propagate_the_per_message_error() {
         let ctx = small_context();
         let msgs = vec![test_message(4), test_message(ctx.params().slots() + 1)];
         assert!(matches!(
-            ctx.encode_batch_pipelined(&msgs),
+            ctx.encode(&msgs[1]),
+            Err(CkksError::TooManySlots { .. })
+        ));
+        assert!(matches!(
+            ctx.encode_batch(&msgs),
             Err(CkksError::TooManySlots { .. })
         ));
         let other = CkksContext::new(
@@ -1034,7 +890,11 @@ mod tests {
             other.encode(&test_message(4)).unwrap(),
         ];
         assert!(matches!(
-            ctx.decode_batch_pipelined(&pts),
+            ctx.decode(&pts[1]),
+            Err(CkksError::ContextMismatch)
+        ));
+        assert!(matches!(
+            ctx.decode_batch(&pts),
             Err(CkksError::ContextMismatch)
         ));
     }

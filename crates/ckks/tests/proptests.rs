@@ -4,7 +4,6 @@ use abc_ckks::params::{CkksParams, ScaleMode};
 use abc_ckks::{evaluator, noise, wire, Ciphertext, CkksContext};
 use abc_float::Complex;
 use abc_prng::Seed;
-use abc_transform::rns_ntt::THREADS_ENV;
 use abc_transform::SpecialFft;
 use proptest::prelude::*;
 
@@ -382,8 +381,8 @@ proptest! {
         // change a single bit of the result. Keyed ops run on the
         // double-scale profile (Δ_eff = 2^72): key-switch noise (≈2^44)
         // would drown a single 2^36 scale but sits 27 bits under Δ_eff.
-        let build = || {
-            CkksContext::new(
+        let build = |threads: usize| {
+            CkksContext::with_threads(
                 CkksParams::builder()
                     .log_n(10)
                     .num_primes(6)
@@ -391,17 +390,12 @@ proptest! {
                     .secret_hamming_weight(Some(64))
                     .build()
                     .expect("params"),
+                threads,
             )
             .expect("ctx")
         };
-        // Engines capture the thread count at construction, so build one
-        // context per fan-out under a temporary env override.
-        let mut env = abc_math::envtest::EnvGuard::lock();
-        env.set(THREADS_ENV, "1");
-        let ctx1 = build();
-        env.set(THREADS_ENV, "4");
-        let ctx4 = build();
-        drop(env);
+        let ctx1 = build(1);
+        let ctx4 = build(4);
         let slots = ctx1.params().slots();
         let steps = raw_steps % slots;
         let msg = message_from_seed(slots, seed);

@@ -88,6 +88,12 @@ impl Drop for Responder {
     }
 }
 
+/// Limb fan-out of every worker's NTT engine. The gateway parallelizes
+/// whole requests across its workers, so each request runs on the one
+/// worker thread that took it; fanning its limbs out too would only
+/// oversubscribe the cores the other workers are using.
+const ENGINE_THREADS: usize = 1;
+
 /// Builds a worker's pooled context from the gateway parameters.
 fn build_context(config: &GatewayConfig) -> Result<CkksContext, GatewayError> {
     let params = CkksParams::builder()
@@ -96,7 +102,8 @@ fn build_context(config: &GatewayConfig) -> Result<CkksContext, GatewayError> {
         .secret_hamming_weight(Some((1usize << config.log_n) / 8))
         .build()
         .map_err(|e| GatewayError::InvalidConfig(format!("{e}")))?;
-    CkksContext::new(params).map_err(|e| GatewayError::InvalidConfig(format!("{e}")))
+    CkksContext::with_threads(params, ENGINE_THREADS)
+        .map_err(|e| GatewayError::InvalidConfig(format!("{e}")))
 }
 
 /// Validates the gateway's CKKS parameters without starting a worker —
@@ -185,9 +192,7 @@ fn execute(ctx: &CkksContext, shared: &Shared, job: &Job) -> Result<Response, Ga
             Ok(Response::Encrypted { blob, compressed })
         }
         Operation::EncryptBatch { messages, mode } => {
-            // Pipelined: the embedding FFT of message i+1 overlaps the
-            // Δ-rounding + NTT of message i on a second thread.
-            let pts = ctx.encode_batch_pipelined(messages).map_err(client_err)?;
+            let pts = ctx.encode_batch(messages).map_err(client_err)?;
             let mut blobs = Vec::with_capacity(pts.len());
             let mut compressed = false;
             for (i, pt) in pts.iter().enumerate() {
@@ -210,7 +215,7 @@ fn execute(ctx: &CkksContext, shared: &Shared, job: &Job) -> Result<Response, Ga
                 let ct = wire::deserialize_ciphertext(blob).map_err(client_err)?;
                 pts.push(ctx.decrypt(&ct, &session.sk).map_err(client_err)?);
             }
-            let slots = ctx.decode_batch_pipelined(&pts).map_err(client_err)?;
+            let slots = ctx.decode_batch(&pts).map_err(client_err)?;
             Ok(Response::DecryptedBatch { slots })
         }
         Operation::Ingest { blob } => {
@@ -277,5 +282,21 @@ fn ingest(ctx: &CkksContext, blob: &[u8]) -> Result<(usize, bool), GatewayError>
         other => Err(GatewayError::BadRequest(format!(
             "unsupported wire kind {other} at ingress"
         ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_contexts_run_single_threaded_engines() {
+        let config = GatewayConfig {
+            log_n: 10,
+            num_primes: 3,
+            ..GatewayConfig::default()
+        };
+        let ctx = build_context(&config).expect("context");
+        assert_eq!(ctx.ntt_engine().threads(), 1);
     }
 }

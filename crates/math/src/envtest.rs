@@ -19,9 +19,9 @@
 //! use abc_math::envtest::EnvGuard;
 //!
 //! let mut env = EnvGuard::lock();
-//! env.set("ABC_FHE_THREADS", "4");
-//! // ... build engines, assert ...
-//! // guard drops: ABC_FHE_THREADS restored, mutex released
+//! env.set("ABC_FHE_NTT_KERNEL", "harvey");
+//! // ... build plans, assert ...
+//! // guard drops: ABC_FHE_NTT_KERNEL restored, mutex released
 //! ```
 //!
 //! The `env-access` rule in `abc-analysis` forbids direct

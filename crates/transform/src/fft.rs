@@ -383,141 +383,55 @@ impl<F: RealField> SpecialFft<F> {
         }
     }
 
-    /// The generic scalar planned kernel (forward direction).
+    /// The generic scalar planned kernel (forward direction): the
+    /// bit-reversal permute, then one Cooley–Tukey pass per stage, every
+    /// block of a stage sharing that stage's twiddles.
     fn forward_scalar(&self, vals: &mut [Complex<F::Real>]) {
         assert_eq!(vals.len(), self.slots, "length must equal slot count");
+        let f = &self.field;
         crate::bitrev::bit_reverse_permute(vals);
-        for stage in 0..self.fwd_twiddles.len() {
-            // SAFETY: exclusive access, full butterfly range.
-            unsafe { self.fwd_stage_range_raw(vals.as_mut_ptr(), stage, 0, self.slots / 2) };
+        for tw in &self.fwd_twiddles {
+            let lenh = tw.len();
+            for block in vals.chunks_exact_mut(2 * lenh) {
+                let (lo, hi) = block.split_at_mut(lenh);
+                for ((u, v), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                    let a = *u;
+                    let t = v.mul_in(f, w);
+                    *u = a.add_in(f, t);
+                    *v = a.sub_in(f, t);
+                }
+            }
         }
     }
 
-    /// The generic scalar planned kernel (inverse direction, including
-    /// the trailing bit-reversal and `1/slots` scale).
+    /// The generic scalar planned kernel (inverse direction): one
+    /// Gentleman–Sande pass per stage, then [`Self::inverse_tail`].
     fn inverse_scalar(&self, vals: &mut [Complex<F::Real>]) {
         assert_eq!(vals.len(), self.slots, "length must equal slot count");
-        for stage in 0..self.inv_twiddles.len() {
-            // SAFETY: exclusive access, full butterfly range.
-            unsafe { self.inv_stage_range_raw(vals.as_mut_ptr(), stage, 0, self.slots / 2) };
+        let f = &self.field;
+        for tw in &self.inv_twiddles {
+            let lenh = tw.len();
+            for block in vals.chunks_exact_mut(2 * lenh) {
+                let (lo, hi) = block.split_at_mut(lenh);
+                for ((u, v), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                    let (a, c) = (*u, *v);
+                    *u = a.add_in(f, c);
+                    *v = a.sub_in(f, c).mul_in(f, w);
+                }
+            }
         }
         self.inverse_tail(vals);
     }
 
-    /// Number of butterfly stages (`log2(slots)`, both directions).
-    pub(crate) fn stages(&self) -> usize {
-        self.fwd_twiddles.len()
-    }
-
-    /// Runs butterflies `[b_lo, b_hi)` of forward stage `stage`
-    /// (butterfly `b` maps to block `b >> stage`, position
-    /// `b & (2^stage − 1)`; every butterfly touches a disjoint element
-    /// pair, which is what makes stage-chunked threading safe).
-    ///
-    /// # Safety
-    ///
-    /// `vals` must point to `slots` elements; concurrent callers must
-    /// hold disjoint `[b_lo, b_hi)` ranges within the same stage, and
-    /// stages must be separated by a happens-before edge (barrier).
-    pub(crate) unsafe fn fwd_stage_range_raw(
-        &self,
-        vals: *mut Complex<F::Real>,
-        stage: usize,
-        b_lo: usize,
-        b_hi: usize,
-    ) {
-        let f = &self.field;
-        let tw = &self.fwd_twiddles[stage];
-        let lenh = 1usize << stage;
-        for b in b_lo..b_hi {
-            let blk = b >> stage;
-            let j = b & (lenh - 1);
-            let i = (blk << (stage + 1)) + j;
-            // SAFETY: `i + lenh < slots` — butterfly `b < slots/2`
-            // splits into block/position so both touched indices stay
-            // in the `slots`-element allocation the caller promised,
-            // and range-disjoint callers touch disjoint pairs.
-            unsafe {
-                let u = *vals.add(i);
-                let v = (*vals.add(i + lenh)).mul_in(f, tw[j]);
-                *vals.add(i) = u.add_in(f, v);
-                *vals.add(i + lenh) = u.sub_in(f, v);
-            }
-        }
-    }
-
-    /// Inverse counterpart of [`Self::fwd_stage_range_raw`]; inverse
-    /// stage `stage` has span `slots >> (stage + 1)`.
-    ///
-    /// # Safety
-    ///
-    /// As [`Self::fwd_stage_range_raw`].
-    pub(crate) unsafe fn inv_stage_range_raw(
-        &self,
-        vals: *mut Complex<F::Real>,
-        stage: usize,
-        b_lo: usize,
-        b_hi: usize,
-    ) {
-        let f = &self.field;
-        let tw = &self.inv_twiddles[stage];
-        let log_span = self.stages() - 1 - stage;
-        let lenh = 1usize << log_span;
-        for b in b_lo..b_hi {
-            let blk = b >> log_span;
-            let j = b & (lenh - 1);
-            let i = (blk << (log_span + 1)) + j;
-            // SAFETY: as in `fwd_stage_range_raw` — both indices lie
-            // below `slots` and butterfly ranges are pairwise disjoint.
-            unsafe {
-                let a = *vals.add(i);
-                let c = *vals.add(i + lenh);
-                let u = a.add_in(f, c);
-                let v = a.sub_in(f, c).mul_in(f, tw[j]);
-                *vals.add(i) = u;
-                *vals.add(i + lenh) = v;
-            }
-        }
-    }
-
     /// The inverse transform's trailing bit-reversal + `1/slots` scale
-    /// (shared by the serial scalar kernel and the engine's threaded
-    /// scalar path).
-    pub(crate) fn inverse_tail(&self, vals: &mut [Complex<F::Real>]) {
+    /// (shared by the planned and on-the-fly scalar kernels).
+    fn inverse_tail(&self, vals: &mut [Complex<F::Real>]) {
         let f = &self.field;
         crate::bitrev::bit_reverse_permute(vals);
         let scale = f.from_f64(1.0 / self.slots as f64);
         for v in vals.iter_mut() {
             *v = v.scale_in(f, scale);
         }
-    }
-
-    /// Runs the forward transform with intra-transform stage threading
-    /// on the SIMD kernel; returns `false` when this plan did not
-    /// resolve to AVX-512 (caller falls back to the generic path).
-    pub(crate) fn forward_threaded_simd(
-        &self,
-        vals: &mut [Complex<F::Real>],
-        threads: usize,
-    ) -> bool {
-        let Some(simd) = self.simd.as_ref() else {
-            return false;
-        };
-        fft_avx512::forward_threaded(simd, as_f64_slice::<F>(vals), threads);
-        true
-    }
-
-    /// Inverse counterpart of [`Self::forward_threaded_simd`].
-    pub(crate) fn inverse_threaded_simd(
-        &self,
-        vals: &mut [Complex<F::Real>],
-        threads: usize,
-    ) -> bool {
-        let Some(simd) = self.simd.as_ref() else {
-            return false;
-        };
-        fft_avx512::inverse_threaded(simd, as_f64_slice::<F>(vals), threads);
-        true
     }
 
     /// The seed's on-the-fly forward kernel: regenerates every twiddle
@@ -577,11 +491,7 @@ impl<F: RealField> SpecialFft<F> {
             }
             len >>= 1;
         }
-        crate::bitrev::bit_reverse_permute(vals);
-        let scale = f.from_f64(1.0 / self.slots as f64);
-        for v in vals.iter_mut() {
-            *v = v.scale_in(f, scale);
-        }
+        self.inverse_tail(vals);
     }
 
     /// Converts slot values (after [`Self::inverse`]) to the `N` real

@@ -28,17 +28,11 @@
 //! transform is bit-identical to the scalar planned kernel on every
 //! input: a 0-ulp bound, asserted by the property suite. The speedup
 //! comes from 8-wide data parallelism, not from reassociating float
-//! arithmetic.
-//!
-//! [`forward_threaded`]/[`inverse_threaded`] additionally split each
-//! stage's independent butterflies across scoped threads with a barrier
-//! per stage (stage-chunked threading *within* one transform), which is
-//! value-preserving for any thread count: butterflies of one stage
-//! touch disjoint elements.
+//! arithmetic. Every transform runs on the calling thread.
 
 use crate::bitrev::bit_reverse;
+use crate::pool::ScratchPool;
 use abc_float::{soa, Complex};
-use std::sync::{Barrier, Mutex};
 
 /// Minimum slot count for the SIMD kernel: at `slots ≥ 8` the three
 /// in-register tail layers (spans 1/2/4) all exist and every longer
@@ -58,17 +52,13 @@ pub fn available() -> bool {
     }
 }
 
-/// Cap on pooled SoA scratch pairs; one pair is checked out per
-/// in-flight transform, so this bounds concurrent transforms served
-/// without allocation, not correctness.
-const MAX_POOLED_SOA: usize = 8;
+/// Cap on pooled split planes (two per in-flight transform), so this
+/// bounds concurrent transforms served without allocation, not
+/// correctness.
+const MAX_POOLED_PLANES: usize = 16;
 
-/// Split-plane scratch for one transform.
-#[derive(Debug, Default)]
-struct SoaBuf {
-    re: Vec<f64>,
-    im: Vec<f64>,
-}
+/// Byte watermark of the plane pool: eight re/im pairs at `2^15` slots.
+const MAX_POOLED_PLANE_BYTES: usize = 1 << 22;
 
 /// Twiddle tables of one direction, laid out for the SIMD kernel.
 #[derive(Debug)]
@@ -127,7 +117,7 @@ impl DirTables {
 }
 
 /// The SIMD layout of one `(slots, f64)` plan: SoA twiddle tables for
-/// both directions plus a pool of split-plane scratch pairs.
+/// both directions plus a pool of split-plane scratch.
 #[derive(Debug)]
 pub(crate) struct SimdPlan {
     slots: usize,
@@ -140,7 +130,7 @@ pub(crate) struct SimdPlan {
     /// so the fused split/merge passes stream an index table instead of
     /// running the multi-op software `reverse_bits` per element.
     brv: Vec<u32>,
-    pool: Mutex<Vec<SoaBuf>>,
+    pool: ScratchPool<f64>,
 }
 
 impl SimdPlan {
@@ -162,309 +152,102 @@ impl SimdPlan {
             inv: DirTables::build(inv_stages),
             inv_scale: 1.0 / slots as f64,
             brv: (0..slots).map(|i| bit_reverse(i, bits) as u32).collect(),
-            pool: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn take_soa(&self) -> SoaBuf {
-        let recycled = self.pool.lock().expect("soa pool poisoned").pop();
-        let mut b = recycled.unwrap_or_default();
-        b.re.resize(self.slots, 0.0);
-        b.im.resize(self.slots, 0.0);
-        b
-    }
-
-    fn recycle_soa(&self, buf: SoaBuf) {
-        let mut guard = self.pool.lock().expect("soa pool poisoned");
-        if guard.len() < MAX_POOLED_SOA {
-            guard.push(buf);
+            pool: ScratchPool::new(MAX_POOLED_PLANES, MAX_POOLED_PLANE_BYTES),
         }
     }
 }
 
-/// Forward transform, single-threaded. Bit-identical to the scalar
-/// planned kernel.
+/// Forward transform. Bit-identical to the scalar planned kernel.
 ///
 /// # Panics
 ///
 /// Panics if the CPU lacks AVX-512F or `vals.len() != slots`.
 pub(crate) fn forward(plan: &SimdPlan, vals: &mut [Complex<f64>]) {
-    run(plan, vals, false, 1);
+    run(plan, vals, false);
 }
 
-/// Inverse transform (including the `1/slots` scale), single-threaded.
-/// Bit-identical to the scalar planned kernel.
+/// Inverse transform (including the `1/slots` scale). Bit-identical to
+/// the scalar planned kernel.
 ///
 /// # Panics
 ///
 /// Panics if the CPU lacks AVX-512F or `vals.len() != slots`.
 pub(crate) fn inverse(plan: &SimdPlan, vals: &mut [Complex<f64>]) {
-    run(plan, vals, true, 1);
+    run(plan, vals, true);
 }
 
-/// Forward transform with each stage's butterflies split across up to
-/// `threads` scoped threads (barrier per stage). Value-identical to the
-/// single-threaded path for any thread count.
-pub(crate) fn forward_threaded(plan: &SimdPlan, vals: &mut [Complex<f64>], threads: usize) {
-    run(plan, vals, false, threads);
-}
-
-/// Inverse counterpart of [`forward_threaded`].
-pub(crate) fn inverse_threaded(plan: &SimdPlan, vals: &mut [Complex<f64>], threads: usize) {
-    run(plan, vals, true, threads);
-}
-
-fn run(plan: &SimdPlan, vals: &mut [Complex<f64>], inverse: bool, threads: usize) {
+/// split → butterfly passes → merge, on pooled planes.
+fn run(plan: &SimdPlan, vals: &mut [Complex<f64>], inverse: bool) {
     // A `target_feature` call on an unsupported CPU would be UB, so the
     // safe entry hard-asserts (same contract as `ntt_ifma`).
     assert!(available(), "AVX-512F not available on this CPU");
     assert_eq!(vals.len(), plan.slots, "length must equal slot count");
-    // Every thread must own ≥ 1 butterfly group (slots/16 of them) in
-    // the long stages; below that, intra-transform fan-out is pure
-    // overhead anyway.
-    let t = threads.min(plan.slots / 16).max(1);
-    let mut buf = plan.take_soa();
+    let mut re = plan.pool.take(plan.slots);
+    let mut im = plan.pool.take(plan.slots);
+    if inverse {
+        soa::split_complex(vals, &mut re, &mut im);
+    } else {
+        // The scalar kernel's in-place bit-reversal, fused into the copy.
+        for ((r, i), &j) in re.iter_mut().zip(im.iter_mut()).zip(&plan.brv) {
+            let z = vals[j as usize];
+            *r = z.re;
+            *i = z.im;
+        }
+    }
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY: the `available()` assert above proves AVX-512F, the
-        // only hardware precondition `serial`/`scoped` document.
-        unsafe {
-            if t <= 1 {
-                serial(plan, vals, &mut buf, inverse);
-            } else {
-                scoped(plan, vals, &mut buf, inverse, t);
-            }
-        }
+        // only hardware precondition of `butterflies`; both planes hold
+        // `plan.slots` elements.
+        unsafe { butterflies(plan, &mut re, &mut im, inverse) };
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (vals, inverse, t, &mut buf);
         unreachable!("AVX-512 FFT kernel requires x86_64");
     }
-    plan.recycle_soa(buf);
+    if inverse {
+        // Bit-reversal and the `1/slots` scale fused into the merge (one
+        // multiply per component, exactly as the scalar trailing loop).
+        let scale = plan.inv_scale;
+        for (dst, &j) in vals.iter_mut().zip(&plan.brv) {
+            let j = j as usize;
+            *dst = Complex::new(re[j] * scale, im[j] * scale);
+        }
+    } else {
+        soa::merge_complex(&re, &im, vals);
+    }
+    plan.pool.put(re);
+    plan.pool.put(im);
 }
 
-/// Single-threaded datapath: split → butterfly passes → merge.
+/// Every butterfly stage of one direction over the split planes: the
+/// in-register tail (spans 1/2/4) and the vector-span stages, in
+/// execution order.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX-512F (the caller asserts `available()`
-/// before dispatching here).
+/// before dispatching here), and `re`/`im` must each hold `plan.slots`
+/// elements.
 #[cfg(target_arch = "x86_64")]
-unsafe fn serial(plan: &SimdPlan, vals: &mut [Complex<f64>], buf: &mut SoaBuf, inverse: bool) {
+unsafe fn butterflies(plan: &SimdPlan, re: &mut [f64], im: &mut [f64], inverse: bool) {
     let slots = plan.slots;
     let dir = if inverse { &plan.inv } else { &plan.fwd };
-    // SAFETY: one thread owns the full element/block/group ranges; the
-    // `available()` assert in `run` guards the `target_feature` calls.
+    let (re, im) = (re.as_mut_ptr(), im.as_mut_ptr());
+    // SAFETY: the planes hold `slots` elements, which is exactly the
+    // `8·(slots/8)` tail and `16·(slots/16)` long-stage extents; the
+    // caller guarantees AVX-512F.
     unsafe {
-        split_range(
-            vals.as_ptr(),
-            buf.re.as_mut_ptr(),
-            buf.im.as_mut_ptr(),
-            &plan.brv,
-            inverse,
-            0,
-            slots,
-        );
-        let re = buf.re.as_mut_ptr();
-        let im = buf.im.as_mut_ptr();
         if inverse {
             for (span, twr, twi) in &dir.long {
-                kern::long_stage(re, im, *span, twr, twi, 0, slots / 16, true);
+                kern::long_stage(re, im, *span, twr, twi, slots / 16, true);
             }
-            kern::tail_pass(re, im, dir, 0, slots / 8, true);
+            kern::tail_pass(re, im, dir, slots / 8, true);
         } else {
-            kern::tail_pass(re, im, dir, 0, slots / 8, false);
+            kern::tail_pass(re, im, dir, slots / 8, false);
             for (span, twr, twi) in &dir.long {
-                kern::long_stage(re, im, *span, twr, twi, 0, slots / 16, false);
+                kern::long_stage(re, im, *span, twr, twi, slots / 16, false);
             }
-        }
-        merge_range(
-            vals.as_mut_ptr(),
-            buf.re.as_ptr(),
-            buf.im.as_ptr(),
-            &plan.brv,
-            plan.inv_scale,
-            inverse,
-            0,
-            slots,
-        );
-    }
-}
-
-/// Raw shared pointer handed to scoped stage workers. Safety rests on
-/// the workers writing disjoint ranges within a pass and a barrier
-/// separating passes.
-struct SyncPtr<T>(*mut T);
-
-impl<T> Clone for SyncPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SyncPtr<T> {}
-// SAFETY: see `SyncPtr` — disjoint writes + barriers between passes.
-unsafe impl<T> Send for SyncPtr<T> {}
-// SAFETY: as above.
-unsafe impl<T> Sync for SyncPtr<T> {}
-
-/// Splits `total` work units into `t` near-equal contiguous ranges.
-fn chunk_range(total: usize, t: usize, tid: usize) -> (usize, usize) {
-    let chunk = total.div_ceil(t);
-    ((tid * chunk).min(total), ((tid + 1) * chunk).min(total))
-}
-
-/// Threaded datapath: `t` scoped workers, barrier between passes.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F (the caller asserts `available()`
-/// before dispatching here).
-#[cfg(target_arch = "x86_64")]
-unsafe fn scoped(
-    plan: &SimdPlan,
-    vals: &mut [Complex<f64>],
-    buf: &mut SoaBuf,
-    inverse: bool,
-    t: usize,
-) {
-    let slots = plan.slots;
-    let dir = if inverse { &plan.inv } else { &plan.fwd };
-    let barrier = Barrier::new(t);
-    let re = SyncPtr(buf.re.as_mut_ptr());
-    let im = SyncPtr(buf.im.as_mut_ptr());
-    let vp = SyncPtr(vals.as_mut_ptr());
-    std::thread::scope(|s| {
-        for tid in 0..t {
-            let barrier = &barrier;
-            s.spawn(move || {
-                // Capture the whole wrappers (closure field capture
-                // would otherwise grab the raw pointers, which are not
-                // `Send`).
-                let (re, im, vp) = (re, im, vp);
-                // Per-thread ranges: elements for split/merge, 8-element
-                // blocks for the tail, 8-butterfly groups for the long
-                // stages. Disjoint across threads by construction.
-                let (e_lo, e_hi) = chunk_range(slots, t, tid);
-                let (b_lo, b_hi) = chunk_range(slots / 8, t, tid);
-                let (g_lo, g_hi) = chunk_range(slots / 16, t, tid);
-                // SAFETY: each pass writes only this thread's range; the
-                // barrier orders passes, so no write races or stale
-                // reads; `run` asserted AVX-512F support.
-                unsafe {
-                    split_range(vp.0 as *const _, re.0, im.0, &plan.brv, inverse, e_lo, e_hi);
-                    barrier.wait();
-                    if inverse {
-                        for (span, twr, twi) in &dir.long {
-                            kern::long_stage(re.0, im.0, *span, twr, twi, g_lo, g_hi, true);
-                            barrier.wait();
-                        }
-                        kern::tail_pass(re.0, im.0, dir, b_lo, b_hi, true);
-                        barrier.wait();
-                    } else {
-                        kern::tail_pass(re.0, im.0, dir, b_lo, b_hi, false);
-                        barrier.wait();
-                        for (span, twr, twi) in &dir.long {
-                            kern::long_stage(re.0, im.0, *span, twr, twi, g_lo, g_hi, false);
-                            barrier.wait();
-                        }
-                    }
-                    merge_range(
-                        vp.0,
-                        re.0,
-                        im.0,
-                        &plan.brv,
-                        plan.inv_scale,
-                        inverse,
-                        e_lo,
-                        e_hi,
-                    );
-                }
-            });
-        }
-    });
-}
-
-/// Copies elements `[lo, hi)` of the AoS input into the split planes;
-/// the forward direction reads through the precomputed bit-reversal
-/// table (the scalar kernel's in-place permute, fused into the copy).
-///
-/// # Safety
-///
-/// `vals` must point to `brv.len()` elements and `re`/`im` to planes of
-/// the same length; concurrent callers must write disjoint `[lo, hi)`
-/// ranges.
-unsafe fn split_range(
-    vals: *const Complex<f64>,
-    re: *mut f64,
-    im: *mut f64,
-    brv: &[u32],
-    inverse: bool,
-    lo: usize,
-    hi: usize,
-) {
-    if inverse {
-        // SAFETY: `lo <= hi <= brv.len()` and the caller promises
-        // `brv.len()`-element allocations behind all three pointers;
-        // disjoint `[lo, hi)` ranges keep concurrent callers apart.
-        unsafe {
-            let src = std::slice::from_raw_parts(vals.add(lo), hi - lo);
-            let re = std::slice::from_raw_parts_mut(re.add(lo), hi - lo);
-            let im = std::slice::from_raw_parts_mut(im.add(lo), hi - lo);
-            soa::split_complex(src, re, im);
-        }
-    } else {
-        for (i, &j) in brv[lo..hi].iter().enumerate().map(|(k, j)| (lo + k, j)) {
-            // SAFETY: `i < hi <= brv.len()` for the writes; `j` is an
-            // entry of the bit-reversal permutation over
-            // `0..brv.len()`, so the gather read stays in bounds.
-            unsafe {
-                let z = *vals.add(j as usize);
-                *re.add(i) = z.re;
-                *im.add(i) = z.im;
-            }
-        }
-    }
-}
-
-/// Merges elements `[lo, hi)` of the split planes back into the AoS
-/// slice; the inverse direction reads through the bit-reversal table
-/// and applies the `1/slots` scale (one multiply per component, exactly
-/// as the scalar trailing loops).
-///
-/// # Safety
-///
-/// As [`split_range`], with `vals` as the write side.
-#[allow(clippy::too_many_arguments)]
-unsafe fn merge_range(
-    vals: *mut Complex<f64>,
-    re: *const f64,
-    im: *const f64,
-    brv: &[u32],
-    inv_scale: f64,
-    inverse: bool,
-    lo: usize,
-    hi: usize,
-) {
-    if inverse {
-        for (i, &j) in brv[lo..hi].iter().enumerate().map(|(k, j)| (lo + k, j)) {
-            let j = j as usize;
-            // SAFETY: `i < hi <= brv.len()` for the write; `j` is a
-            // bit-reversal index below `brv.len()`, keeping both plane
-            // reads inside the caller-promised allocations.
-            unsafe {
-                *vals.add(i) = Complex::new(*re.add(j) * inv_scale, *im.add(j) * inv_scale);
-            }
-        }
-    } else {
-        // SAFETY: `lo <= hi <= brv.len()` and all three pointers back
-        // `brv.len()`-element allocations; disjoint `[lo, hi)` ranges
-        // keep concurrent callers apart.
-        unsafe {
-            let re = std::slice::from_raw_parts(re.add(lo), hi - lo);
-            let im = std::slice::from_raw_parts(im.add(lo), hi - lo);
-            let dst = std::slice::from_raw_parts_mut(vals.add(lo), hi - lo);
-            soa::merge_complex(re, im, dst);
         }
     }
 }
@@ -534,20 +317,18 @@ mod kern {
         (_mm512_sub_pd(ac, bd), _mm512_add_pd(ad, bc))
     }
 
-    /// Runs the three sub-vector layers fully in registers for
-    /// 8-element blocks `[blk_lo, blk_hi)` of both planes.
+    /// Runs the three sub-vector layers fully in registers for the
+    /// first `blocks` 8-element blocks of both planes.
     ///
     /// # Safety
     ///
-    /// Caller guarantees AVX-512F, plane length ≥ `8·blk_hi`, and that
-    /// concurrent callers own disjoint block ranges.
+    /// Caller guarantees AVX-512F and plane length ≥ `8·blocks`.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn tail_pass(
         re: *mut f64,
         im: *mut f64,
         dir: &DirTables,
-        blk_lo: usize,
-        blk_hi: usize,
+        blocks: usize,
         inverse: bool,
     ) {
         // SAFETY: caller guarantees AVX-512F (the only precondition of
@@ -563,11 +344,11 @@ mod kern {
                 )
             };
         }
-        for blk in blk_lo..blk_hi {
-            // SAFETY: `blk < blk_hi` with caller-promised plane length
-            // ≥ `8·blk_hi` keeps lanes `blk*8..blk*8+8` in bounds for
-            // every load/store; this caller owns the block exclusively;
-            // `cmul` needs only the feature the caller guarantees.
+        for blk in 0..blocks {
+            // SAFETY: `blk < blocks` with caller-promised plane length
+            // ≥ `8·blocks` keeps lanes `blk*8..blk*8+8` in bounds for
+            // every load/store; `cmul` needs only the feature the caller
+            // guarantees.
             unsafe {
                 let pr = re.add(blk * 8);
                 let pi = im.add(blk * 8);
@@ -605,42 +386,38 @@ mod kern {
         }
     }
 
-    /// One vector-span stage over butterfly-group range `[g_lo, g_hi)`.
-    /// Each group is eight consecutive butterflies of the stage's
-    /// global butterfly index space (`b = block·span + j`); since
-    /// `span % 8 == 0` and groups are 8-aligned, a group never
-    /// straddles a block boundary.
+    /// One vector-span stage over butterfly groups `0..groups`. Each
+    /// group is eight consecutive butterflies of the stage's global
+    /// butterfly index space (`b = block·span + j`); since `span % 8 ==
+    /// 0` and groups are 8-aligned, a group never straddles a block
+    /// boundary.
     ///
     /// # Safety
     ///
-    /// Caller guarantees AVX-512F, plane length ≥ `16·g_hi`, twiddle
-    /// planes of length `span`, and disjoint group ranges across
-    /// concurrent callers.
+    /// Caller guarantees AVX-512F, plane length ≥ `16·groups`, and
+    /// twiddle planes of length `span`.
     #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn long_stage(
         re: *mut f64,
         im: *mut f64,
         span: usize,
         twr: &[f64],
         twi: &[f64],
-        g_lo: usize,
-        g_hi: usize,
+        groups: usize,
         inverse: bool,
     ) {
         // span is a power of two ≥ 8, so per-group block/offset math
         // reduces to shifts over the groups-per-block count.
         let gpb_log = (span / 8).trailing_zeros();
-        for g in g_lo..g_hi {
+        for g in 0..groups {
             let blk = g >> gpb_log;
             let j = (g - (blk << gpb_log)) * 8;
             let base = blk * 2 * span + j;
-            // SAFETY: `g < g_hi` with caller-promised plane length
-            // ≥ `16·g_hi` puts both half-vectors (`base..base+8` and
+            // SAFETY: `g < groups` with caller-promised plane length
+            // ≥ `16·groups` puts both half-vectors (`base..base+8` and
             // `base+span..base+span+8`) in bounds; `j + 8 ≤ span` keeps
-            // the twiddle window inside the `span`-element planes; this
-            // caller owns the group exclusively; `cmul` needs only the
-            // feature the caller guarantees.
+            // the twiddle window inside the `span`-element planes;
+            // `cmul` needs only the feature the caller guarantees.
             unsafe {
                 let plo_r = re.add(base);
                 let plo_i = im.add(base);

@@ -1,71 +1,30 @@
-//! Batched canonical-embedding FFT over many slot vectors, with thread
-//! fan-out and reusable scratch buffers — the FFT-side sibling of
+//! The canonical-embedding FFT engine: a shared [`SpecialFft`] plan plus
+//! reusable slot buffers — the FFT-side sibling of
 //! [`crate::rns_ntt::RnsNttEngine`].
 //!
-//! The client pipeline encodes and decodes *streams* of messages (the
-//! paper's Fig. 1 gateway serves many users); every vector's transform is
-//! independent, so the engine fans a batch out across OS threads with
-//! [`std::thread::scope`] (no rayon in the offline build environment).
-//! The thread count defaults to the machine's parallelism and can be
-//! pinned with the `ABC_FHE_THREADS` environment variable — the same
-//! knob the NTT engine reads.
+//! The engine is **single-threaded**. One embedding transform is short
+//! (a few hundred µs at `N = 2^16` on the AVX-512 kernel), so splitting
+//! its stages across threads cost more in barriers than it saved, and
+//! batch throughput comes from running whole requests in parallel (the
+//! gateway's worker pool), not from fanning one message's FFT out.
 //!
 //! Scratch slot buffers are drawn from an internal pool and recycled, so
 //! steady-state encode/decode performs no per-op slot allocation.
-//!
-//! Transforms are **bit-identical** to running each vector through the
-//! shared [`SpecialFft`] plan serially — threading only changes
-//! scheduling, never values — which the property suite asserts for
-//! thread counts 1/2/4.
 
 use crate::fft::SpecialFft;
-use crate::rns_ntt::threads_from_env;
+use crate::pool::ScratchPool;
 use abc_float::{Complex, RealField};
-use std::sync::{Barrier, Mutex};
 
 /// Cap on pooled scratch buffers, bounding steady-state memory.
 const MAX_POOLED_BUFS: usize = 64;
 
 /// High-water cap on pooled scratch **bytes**: a burst of large-slot
-/// batches must not pin peak memory forever, so buffers returned past
+/// messages must not pin peak memory forever, so buffers returned past
 /// this watermark are dropped (evicted) instead of retained.
 pub const MAX_POOLED_BYTES: usize = 1 << 22;
 
-/// Below this much total work (`vectors × slots`), thread spawn overhead
-/// outweighs the fan-out and the engine runs serially.
-const PARALLEL_THRESHOLD: usize = 1 << 12;
-
-/// Minimum slot count for stage-chunked threading *within* a single
-/// transform; below it, per-stage barrier costs dominate.
-const INTRA_PARALLEL_THRESHOLD: usize = 1 << 12;
-
-/// Scratch pool state: the buffers plus their retained byte total
-/// (tracked so eviction is O(1) on return).
-#[derive(Debug, Default)]
-struct PoolState<R> {
-    bufs: Vec<Vec<Complex<R>>>,
-    bytes: usize,
-}
-
-/// Raw shared pointer for the scalar stage workers; safety rests on
-/// disjoint per-thread butterfly ranges within a stage and a barrier
-/// between stages.
-struct SyncPtr<T>(*mut T);
-
-impl<T> Clone for SyncPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SyncPtr<T> {}
-// SAFETY: see `SyncPtr` — disjoint writes + barriers between stages.
-unsafe impl<T> Send for SyncPtr<T> {}
-// SAFETY: as above.
-unsafe impl<T> Sync for SyncPtr<T> {}
-
-/// Batched forward/inverse special FFT: one shared per-(slots, datapath)
-/// [`SpecialFft`] plan, vector fan-out over scoped threads, and pooled
-/// scratch.
+/// Forward/inverse special FFT through one shared per-(slots, datapath)
+/// [`SpecialFft`] plan, with pooled scratch.
 ///
 /// # Example
 ///
@@ -73,50 +32,33 @@ unsafe impl<T> Sync for SyncPtr<T> {}
 /// use abc_float::{Complex, F64Field};
 /// use abc_transform::SpecialFftEngine;
 ///
-/// let engine = SpecialFftEngine::with_threads(F64Field, 16, 2);
-/// let mut batch: Vec<Vec<Complex>> = (0..4)
-///     .map(|k| (0..16).map(|i| Complex::new((i + k) as f64, 0.0)).collect())
-///     .collect();
-/// let original = batch.clone();
-/// engine.inverse_batch(&mut batch);
-/// engine.forward_batch(&mut batch);
-/// for (v, o) in batch.iter().zip(&original) {
-///     for (a, b) in v.iter().zip(o) {
-///         assert!(a.dist(*b) < 1e-12);
-///     }
+/// let engine = SpecialFftEngine::new(F64Field, 16);
+/// let original: Vec<Complex> = (0..16).map(|i| Complex::new(i as f64, 0.0)).collect();
+/// let mut v = engine.take_buf();
+/// v.copy_from_slice(&original);
+/// engine.inverse(&mut v);
+/// engine.forward(&mut v);
+/// for (a, b) in v.iter().zip(&original) {
+///     assert!(a.dist(*b) < 1e-12);
 /// }
+/// engine.recycle(v);
 /// ```
 #[derive(Debug)]
 pub struct SpecialFftEngine<F: RealField> {
     plan: SpecialFft<F>,
-    threads: usize,
-    pool: Mutex<PoolState<F::Real>>,
+    pool: ScratchPool<Complex<F::Real>>,
 }
 
 impl<F: RealField> SpecialFftEngine<F> {
-    /// Builds an engine for `slots` slots on `field`, reading the thread
-    /// count from `ABC_FHE_THREADS` (default: the machine's available
-    /// parallelism, capped at 8).
+    /// Builds an engine for `slots` slots on `field`.
     ///
     /// # Panics
     ///
     /// Panics if `slots` is not a power of two.
     pub fn new(field: F, slots: usize) -> Self {
-        Self::with_threads(field, slots, threads_from_env())
-    }
-
-    /// Builds an engine with an explicit thread count (≥ 1); used by
-    /// tests to prove thread-count invariance without touching the
-    /// process environment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is not a power of two.
-    pub fn with_threads(field: F, slots: usize, threads: usize) -> Self {
         Self {
             plan: SpecialFft::with_field(field, slots),
-            threads: threads.max(1),
-            pool: Mutex::new(PoolState::default()),
+            pool: ScratchPool::new(MAX_POOLED_BUFS, MAX_POOLED_BYTES),
         }
     }
 
@@ -130,207 +72,55 @@ impl<F: RealField> SpecialFftEngine<F> {
         self.plan.slots()
     }
 
-    /// The configured thread fan-out.
+    /// Threads one transform runs on: always 1 (the engine never splits
+    /// a transform; reports print it next to the NTT engine's fan-out).
     pub fn threads(&self) -> usize {
-        self.threads
+        1
     }
 
-    /// Forward transform of a single vector through the shared plan.
-    ///
-    /// For large transforms (`slots ≥ 2^12`) with `threads > 1`, the
-    /// engine splits each stage's independent butterflies across scoped
-    /// threads with a barrier per stage, so single-message latency
-    /// drops — not just batch throughput. Bit-identical to the serial
-    /// plan for any thread count (butterflies of a stage touch disjoint
-    /// element pairs, and no value's operation sequence changes).
+    /// Forward transform of one vector through the shared plan.
     ///
     /// # Panics
     ///
     /// Panics if `vals.len() != slots`.
     pub fn forward(&self, vals: &mut [Complex<F::Real>]) {
-        self.transform_single(vals, false);
+        self.plan.forward(vals);
     }
 
-    /// Inverse transform of a single vector through the shared plan,
-    /// with the same intra-transform stage threading as
-    /// [`Self::forward`].
+    /// Inverse transform of one vector through the shared plan.
     ///
     /// # Panics
     ///
     /// Panics if `vals.len() != slots`.
     pub fn inverse(&self, vals: &mut [Complex<F::Real>]) {
-        self.transform_single(vals, true);
-    }
-
-    fn transform_single(&self, vals: &mut [Complex<F::Real>], inverse: bool) {
-        let slots = self.plan.slots();
-        // Every thread needs ≥ 1 butterfly per stage.
-        let t = self.threads.min(slots / 2).max(1);
-        if t <= 1 || slots < INTRA_PARALLEL_THRESHOLD {
-            if inverse {
-                self.plan.inverse(vals);
-            } else {
-                self.plan.forward(vals);
-            }
-            return;
-        }
-        // SIMD fast path: the AVX-512 kernel carries its own
-        // stage-chunked threading over the SoA planes.
-        let handled = if inverse {
-            self.plan.inverse_threaded_simd(vals, t)
-        } else {
-            self.plan.forward_threaded_simd(vals, t)
-        };
-        if handled {
-            return;
-        }
-        self.scalar_threaded(vals, inverse, t);
-    }
-
-    /// Stage-chunked threading for the generic scalar kernel: the
-    /// butterfly index space of each stage (`slots/2` butterflies,
-    /// disjoint element pairs) is split into contiguous per-thread
-    /// ranges; a barrier separates stages. Per-element operation
-    /// sequences are untouched, so results are bit-identical to the
-    /// serial plan.
-    fn scalar_threaded(&self, vals: &mut [Complex<F::Real>], inverse: bool, t: usize) {
-        assert_eq!(
-            vals.len(),
-            self.plan.slots(),
-            "length must equal slot count"
-        );
-        if !inverse {
-            crate::bitrev::bit_reverse_permute(vals);
-        }
-        let stages = self.plan.stages();
-        let total = self.plan.slots() / 2;
-        let chunk = total.div_ceil(t);
-        let barrier = Barrier::new(t);
-        let ptr = SyncPtr(vals.as_mut_ptr());
-        let plan = &self.plan;
-        std::thread::scope(|s| {
-            for tid in 0..t {
-                let barrier = &barrier;
-                s.spawn(move || {
-                    // Capture the whole wrapper (closure field capture
-                    // would otherwise grab the raw pointer, which is
-                    // not `Send`).
-                    let ptr = ptr;
-                    let lo = (tid * chunk).min(total);
-                    let hi = ((tid + 1) * chunk).min(total);
-                    for stage in 0..stages {
-                        if lo < hi {
-                            // SAFETY: `[lo, hi)` ranges are disjoint
-                            // across threads and the barrier orders
-                            // stages.
-                            unsafe {
-                                if inverse {
-                                    plan.inv_stage_range_raw(ptr.0, stage, lo, hi);
-                                } else {
-                                    plan.fwd_stage_range_raw(ptr.0, stage, lo, hi);
-                                }
-                            }
-                        }
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-        if inverse {
-            self.plan.inverse_tail(vals);
-        }
-    }
-
-    /// In-place forward FFT of every vector, fanned out across threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vector's length differs from `slots`.
-    pub fn forward_batch(&self, batch: &mut [Vec<Complex<F::Real>>]) {
-        self.for_each_vec(batch, |plan, v| plan.forward(v));
-    }
-
-    /// In-place inverse FFT of every vector, fanned out across threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vector's length differs from `slots`.
-    pub fn inverse_batch(&self, batch: &mut [Vec<Complex<F::Real>>]) {
-        self.for_each_vec(batch, |plan, v| plan.inverse(v));
+        self.plan.inverse(vals);
     }
 
     /// Checks a zeroed slot buffer of length `slots` out of the pool;
     /// hand it back with [`Self::recycle`].
     pub fn take_buf(&self) -> Vec<Complex<F::Real>> {
-        let recycled = {
-            let mut guard = self.pool.lock().expect("fft pool poisoned");
-            let b = guard.bufs.pop();
-            if let Some(b) = &b {
-                guard.bytes -= b.capacity() * core::mem::size_of::<Complex<F::Real>>();
-            }
-            b
-        };
-        match recycled {
-            Some(mut b) => {
-                b.clear();
-                b.resize(self.plan.slots(), Complex::default());
-                b
-            }
-            None => vec![Complex::default(); self.plan.slots()],
-        }
+        let mut b = self.pool.take(self.plan.slots());
+        b.fill(Complex::default());
+        b
     }
 
     /// Returns a scratch buffer to the pool. Buffers whose retention
     /// would push the pool past [`MAX_POOLED_BYTES`] (or the count cap)
-    /// are dropped instead — a burst of batches must not pin its peak
+    /// are dropped instead — a burst of messages must not pin its peak
     /// memory forever.
     pub fn recycle(&self, buf: Vec<Complex<F::Real>>) {
-        let bytes = buf.capacity() * core::mem::size_of::<Complex<F::Real>>();
-        let mut guard = self.pool.lock().expect("fft pool poisoned");
-        if guard.bufs.len() < MAX_POOLED_BUFS && guard.bytes + bytes <= MAX_POOLED_BYTES {
-            guard.bytes += bytes;
-            guard.bufs.push(buf);
-        }
+        self.pool.put(buf);
     }
 
     /// Bytes currently retained by the scratch pool (capacity of every
     /// pooled buffer) — always ≤ [`MAX_POOLED_BYTES`].
     pub fn pooled_bytes(&self) -> usize {
-        self.pool.lock().expect("fft pool poisoned").bytes
+        self.pool.bytes()
     }
 
     /// Number of buffers currently retained by the scratch pool.
     pub fn pooled_bufs(&self) -> usize {
-        self.pool.lock().expect("fft pool poisoned").bufs.len()
-    }
-
-    /// Applies `op(plan, vec)` to every vector, splitting the batch into
-    /// contiguous chunks across scoped threads. Small batches run
-    /// serially: thread spawn costs more than it saves there.
-    fn for_each_vec<Op>(&self, batch: &mut [Vec<Complex<F::Real>>], op: Op)
-    where
-        Op: Fn(&SpecialFft<F>, &mut [Complex<F::Real>]) + Sync,
-    {
-        let k = batch.len();
-        let threads = self.threads.min(k);
-        if threads <= 1 || k * self.plan.slots() < PARALLEL_THRESHOLD {
-            for v in batch.iter_mut() {
-                op(&self.plan, v);
-            }
-            return;
-        }
-        let chunk = k.div_ceil(threads);
-        let plan = &self.plan;
-        let op = &op;
-        std::thread::scope(|s| {
-            for vc in batch.chunks_mut(chunk) {
-                s.spawn(move || {
-                    for v in vc.iter_mut() {
-                        op(plan, v);
-                    }
-                });
-            }
-        });
+        self.pool.len()
     }
 }
 
@@ -350,55 +140,45 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_plan_across_thread_counts() {
-        // 8 vectors × 1024 slots clears PARALLEL_THRESHOLD, so threads
-        // really spawn.
-        let slots = 1usize << 10;
-        let batch0: Vec<Vec<Complex>> = (0..8).map(|k| sample(slots, 40 + k)).collect();
+    fn engine_matches_plan() {
+        // 2^12 slots: the AVX-512 plan where this host resolves it,
+        // scalar otherwise — the engine adds nothing but pooling.
+        let slots = 1usize << 12;
         let plan = SpecialFft::new(slots);
-        let mut reference = batch0.clone();
-        for v in reference.iter_mut() {
-            plan.forward(v);
-        }
-        for threads in [1usize, 2, 4] {
-            let engine = SpecialFftEngine::with_threads(F64Field, slots, threads);
-            let mut batch = batch0.clone();
-            engine.forward_batch(&mut batch);
-            assert_eq!(batch, reference, "threads={threads}");
-            engine.inverse_batch(&mut batch);
-            // inverse(forward(x)) is not bit-identical to x (floating
-            // point), but engine-vs-plan must be.
-            let mut round = reference.clone();
-            for v in round.iter_mut() {
-                plan.inverse(v);
-            }
-            assert_eq!(batch, round, "threads={threads}");
+        let engine = SpecialFftEngine::new(F64Field, slots);
+        for seed in 40..44 {
+            let v0 = sample(slots, seed);
+            let mut want = v0.clone();
+            plan.forward(&mut want);
+            let mut got = v0.clone();
+            engine.forward(&mut got);
+            assert_eq!(got, want, "forward seed={seed}");
+            let mut want = v0.clone();
+            plan.inverse(&mut want);
+            let mut got = v0;
+            engine.inverse(&mut got);
+            assert_eq!(got, want, "inverse seed={seed}");
         }
     }
 
     #[test]
-    fn extended_engine_is_thread_invariant_too() {
-        // 8 × 2^9 = PARALLEL_THRESHOLD: the threaded path really runs.
+    fn extended_engine_matches_plan() {
+        // The generic scalar kernel on the double-double datapath.
         let slots = 1usize << 9;
         let fe = ExtF64Field;
-        let batch0: Vec<Vec<Complex<abc_float::ExtF64>>> = (0..8)
-            .map(|k| sample(slots, k).iter().map(|z| z.lift_in(&fe)).collect())
-            .collect();
-        let serial = {
-            let engine = SpecialFftEngine::with_threads(ExtF64Field, slots, 1);
-            let mut b = batch0.clone();
-            engine.inverse_batch(&mut b);
-            b
-        };
-        let engine = SpecialFftEngine::with_threads(ExtF64Field, slots, 4);
-        let mut b = batch0;
-        engine.inverse_batch(&mut b);
-        assert_eq!(b, serial);
+        let v0: Vec<_> = sample(slots, 3).iter().map(|z| z.lift_in(&fe)).collect();
+        let plan = SpecialFft::with_field(ExtF64Field, slots);
+        let mut want = v0.clone();
+        plan.inverse(&mut want);
+        let engine = SpecialFftEngine::new(ExtF64Field, slots);
+        let mut got = v0;
+        engine.inverse(&mut got);
+        assert_eq!(got, want);
     }
 
     #[test]
     fn pool_recycles_buffers() {
-        let engine = SpecialFftEngine::with_threads(F64Field, 16, 1);
+        let engine = SpecialFftEngine::new(F64Field, 16);
         let mut buf = engine.take_buf();
         buf[0] = Complex::new(1.0, -1.0);
         let ptr = buf.as_ptr();
@@ -414,44 +194,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "length must equal slot count")]
     fn wrong_length_vector_panics() {
-        let engine = SpecialFftEngine::with_threads(F64Field, 16, 1);
-        let mut batch = vec![vec![Complex::zero(); 8]];
-        engine.forward_batch(&mut batch);
-    }
-
-    #[test]
-    fn intra_transform_threading_is_bit_identical() {
-        // slots = 2^12 clears INTRA_PARALLEL_THRESHOLD, so the
-        // stage-chunked path really runs for threads > 1 — on both the
-        // SIMD plan (if this host resolves avx512) and, via ExtF64, the
-        // generic scalar stage-range path.
-        let slots = 1usize << 12;
-        let v0 = sample(slots, 7);
-        let plan = SpecialFft::new(slots);
-        let mut fwd_ref = v0.clone();
-        plan.forward(&mut fwd_ref);
-        let mut inv_ref = v0.clone();
-        plan.inverse(&mut inv_ref);
-        for threads in [1usize, 2, 4] {
-            let engine = SpecialFftEngine::with_threads(F64Field, slots, threads);
-            let mut v = v0.clone();
-            engine.forward(&mut v);
-            assert_eq!(v, fwd_ref, "fwd threads={threads}");
-            let mut v = v0.clone();
-            engine.inverse(&mut v);
-            assert_eq!(v, inv_ref, "inv threads={threads}");
-        }
-        let fe = ExtF64Field;
-        let w0: Vec<_> = v0.iter().map(|z| z.lift_in(&fe)).collect();
-        let ext_plan = SpecialFft::with_field(ExtF64Field, slots);
-        let mut ext_ref = w0.clone();
-        ext_plan.inverse(&mut ext_ref);
-        for threads in [2usize, 4] {
-            let engine = SpecialFftEngine::with_threads(ExtF64Field, slots, threads);
-            let mut w = w0.clone();
-            engine.inverse(&mut w);
-            assert_eq!(w, ext_ref, "ext inv threads={threads}");
-        }
+        let engine = SpecialFftEngine::new(F64Field, 16);
+        engine.forward(&mut [Complex::zero(); 8]);
     }
 
     #[test]
@@ -460,7 +204,7 @@ mod tests {
         // would retain 16 MiB without the byte cap; the watermark keeps
         // only MAX_POOLED_BYTES / 128 KiB = 32 of them.
         let slots = 1usize << 13;
-        let engine = SpecialFftEngine::with_threads(F64Field, slots, 1);
+        let engine = SpecialFftEngine::new(F64Field, slots);
         let bufs: Vec<_> = (0..128).map(|_| engine.take_buf()).collect();
         for b in bufs {
             engine.recycle(b);

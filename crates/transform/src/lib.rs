@@ -22,10 +22,11 @@
 //!
 //! [`rns_ntt::RnsNttEngine`] batches the NTT across all RNS limbs of a
 //! polynomial — one plan per prime, limb fan-out over scoped threads
-//! (`ABC_FHE_THREADS` override) and pooled scratch buffers.
-//! [`fft_engine::SpecialFftEngine`] gives the embedding FFT the same
-//! treatment: a shared plan, batch fan-out over scoped threads, and a
-//! recycling slot-buffer pool.
+//! (the workspace's only intra-operation threading; the count is fixed
+//! when the engine is built) and pooled scratch buffers.
+//! [`fft_engine::SpecialFftEngine`] pairs the embedding FFT's shared
+//! plan with a recycling slot-buffer pool and runs single-threaded.
+//! Both engines draw scratch from the same byte-capped pool type.
 //!
 //! [`radix`] analyses pipelined MDC design configurations (radix-2,
 //! radix-2^2, radix-2^3, radix-2^n and mixed) and counts the hardware
@@ -64,6 +65,7 @@ pub mod fft_engine;
 pub mod ntt;
 #[cfg(target_arch = "x86_64")]
 pub mod ntt_ifma;
+mod pool;
 pub mod radix;
 pub mod rns_ntt;
 pub mod stream;

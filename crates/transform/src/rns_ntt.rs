@@ -6,9 +6,13 @@
 //! limb's transform is independent of the others. [`RnsNttEngine`] owns
 //! one [`NttPlan`] per prime and fans the limbs out across OS threads
 //! with [`std::thread::scope`] (the build environment is offline, so no
-//! rayon; `std` is all we need). The thread count defaults to the
-//! machine's parallelism and can be pinned with the `ABC_FHE_THREADS`
-//! environment variable.
+//! rayon; `std` is all we need). This limb fan-out is the workspace's
+//! **only** intra-operation threading: the embedding FFT runs
+//! single-threaded, and the gateway parallelizes whole requests over
+//! workers whose engines are built with one thread. The thread count is
+//! fixed at construction — [`RnsNttEngine::new`] takes the machine's
+//! available parallelism capped at 8, [`RnsNttEngine::with_threads`]
+//! an explicit count.
 //!
 //! Every temporary the engine needs is drawn from an internal buffer
 //! pool and recycled, so steady-state operation performs no per-op
@@ -41,11 +45,8 @@
 //! thread counts 1/2/4.
 
 use crate::ntt::NttPlan;
+use crate::pool::ScratchPool;
 use abc_math::{MathError, Modulus};
-use std::sync::Mutex;
-
-/// Environment variable overriding the engine's thread count.
-pub const THREADS_ENV: &str = "ABC_FHE_THREADS";
 
 /// Cap on pooled scratch buffers, bounding steady-state memory.
 const MAX_POOLED_BUFS: usize = 64;
@@ -55,65 +56,11 @@ const MAX_POOLED_BUFS: usize = 64;
 /// past this watermark are dropped (evicted) instead of retained.
 pub const MAX_POOLED_BYTES: usize = 1 << 23;
 
-/// Below this much total work (`limbs × N`), thread spawn overhead
-/// outweighs the fan-out and the engine runs serially.
+/// Below this many words of limb data per call (`limbs × N`, doubled
+/// for the two-component ops), thread spawn costs more than the fan-out
+/// saves and the engine runs serially. One cutoff serves transforms and
+/// element-wise ops alike.
 const PARALLEL_THRESHOLD: usize = 1 << 14;
-
-/// Parallel threshold for the element-wise (dyadic) ops: they are
-/// `O(N)` per limb instead of `O(N log N)`, so spawning threads pays
-/// off only on larger batches.
-const DYADIC_PARALLEL_THRESHOLD: usize = 1 << 16;
-
-/// A recycling pool of `Vec<u64>` scratch buffers, capped both by
-/// count and by retained bytes ([`MAX_POOLED_BYTES`]).
-#[derive(Debug, Default)]
-struct BufferPool {
-    bufs: Mutex<PoolState>,
-}
-
-/// Pool contents plus their retained byte total (capacity of every
-/// buffer), tracked so the byte-watermark eviction is O(1) on return.
-#[derive(Debug, Default)]
-struct PoolState {
-    bufs: Vec<Vec<u64>>,
-    bytes: usize,
-}
-
-impl BufferPool {
-    /// Takes a buffer of length `n` with **unspecified contents** —
-    /// recycled buffers keep their stale words rather than paying a
-    /// memset that every caller immediately overwrites.
-    fn take(&self, n: usize) -> Vec<u64> {
-        let mut guard = self.bufs.lock().expect("buffer pool poisoned");
-        match guard.bufs.pop() {
-            Some(mut b) => {
-                guard.bytes -= b.capacity() * core::mem::size_of::<u64>();
-                b.resize(n, 0);
-                b
-            }
-            None => vec![0u64; n],
-        }
-    }
-
-    /// Returns a buffer, dropping it instead when retention would pass
-    /// the count cap or the [`MAX_POOLED_BYTES`] high-water mark.
-    fn put(&self, b: Vec<u64>) {
-        let bytes = b.capacity() * core::mem::size_of::<u64>();
-        let mut guard = self.bufs.lock().expect("buffer pool poisoned");
-        if guard.bufs.len() < MAX_POOLED_BUFS && guard.bytes + bytes <= MAX_POOLED_BYTES {
-            guard.bytes += bytes;
-            guard.bufs.push(b);
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        self.bufs.lock().expect("buffer pool poisoned").bytes
-    }
-
-    fn len(&self) -> usize {
-        self.bufs.lock().expect("buffer pool poisoned").bufs.len()
-    }
-}
 
 /// Residue limbs checked out of an [`RnsNttEngine`]'s buffer pool;
 /// dereferences to `[Vec<u64>]` and returns every buffer to the pool on
@@ -175,24 +122,32 @@ pub struct RnsNttEngine {
     plans: Vec<NttPlan>,
     n: usize,
     threads: usize,
-    pool: BufferPool,
+    pool: ScratchPool<u64>,
 }
 
 impl RnsNttEngine {
-    /// Builds an engine for transform size `n` over `moduli`, reading
-    /// the thread count from [`THREADS_ENV`] (default: the machine's
-    /// available parallelism, capped at 8).
+    /// Builds an engine for transform size `n` over `moduli` with
+    /// [`Self::default_threads`] limb workers.
     ///
     /// # Errors
     ///
     /// Propagates [`NttPlan::new`] errors (no 2N-th root, bad size).
     pub fn new(moduli: &[Modulus], n: usize) -> Result<Self, MathError> {
-        Self::with_threads(moduli, n, threads_from_env())
+        Self::with_threads(moduli, n, Self::default_threads())
     }
 
-    /// Builds an engine with an explicit thread count (≥ 1); used by
-    /// tests to prove thread-count invariance without touching the
-    /// process environment.
+    /// The default limb fan-out: the machine's available parallelism,
+    /// capped at 8.
+    pub fn default_threads() -> usize {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(8)
+    }
+
+    /// Builds an engine with an explicit thread count (≥ 1): `1` for
+    /// callers that parallelize at the request level (the gateway's
+    /// workers), small counts for the thread-invariance tests.
     ///
     /// # Errors
     ///
@@ -206,7 +161,7 @@ impl RnsNttEngine {
             plans,
             n,
             threads: threads.max(1),
-            pool: BufferPool::default(),
+            pool: ScratchPool::new(MAX_POOLED_BUFS, MAX_POOLED_BYTES),
         })
     }
 
@@ -436,11 +391,7 @@ impl RnsNttEngine {
     /// than `a`, or paired limb lengths differ.
     pub fn dyadic_mul_all(&self, a: &mut [Vec<u64>], b: &[Vec<u64>]) {
         assert!(b.len() >= a.len(), "fewer multiplier limbs than targets");
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().mul_assign(limb, &b[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
+        self.for_each_limb(a, |i, plan, limb| plan.dyadic().mul_assign(limb, &b[i]));
     }
 
     /// `a[i][j] = a[i][j]·b[i][j] + c[i][j] mod q_i` — the fused RNS-wide
@@ -452,11 +403,9 @@ impl RnsNttEngine {
     pub fn dyadic_mul_add_all(&self, a: &mut [Vec<u64>], b: &[Vec<u64>], c: &[Vec<u64>]) {
         assert!(b.len() >= a.len(), "fewer multiplier limbs than targets");
         assert!(c.len() >= a.len(), "fewer addend limbs than targets");
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().mul_add_assign(limb, &b[i], &c[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
+        self.for_each_limb(a, |i, plan, limb| {
+            plan.dyadic().mul_add_assign(limb, &b[i], &c[i])
+        });
     }
 
     /// `a[i][j] = c[i][j] − a[i][j]·b[i][j] mod q_i` — the keygen shape
@@ -469,11 +418,9 @@ impl RnsNttEngine {
     pub fn dyadic_mul_neg_add_all(&self, a: &mut [Vec<u64>], b: &[Vec<u64>], c: &[Vec<u64>]) {
         assert!(b.len() >= a.len(), "fewer multiplier limbs than targets");
         assert!(c.len() >= a.len(), "fewer addend limbs than targets");
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().mul_neg_add_assign(limb, &b[i], &c[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
+        self.for_each_limb(a, |i, plan, limb| {
+            plan.dyadic().mul_neg_add_assign(limb, &b[i], &c[i])
+        });
     }
 
     /// `a[i][j] = c[i][j] + d[i][j] − a[i][j]·b[i][j] mod q_i` — the
@@ -495,11 +442,9 @@ impl RnsNttEngine {
             c.len() >= a.len() && d.len() >= a.len(),
             "fewer addend limbs than targets"
         );
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().mul_neg_add2_assign(limb, &b[i], &c[i], &d[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
+        self.for_each_limb(a, |i, plan, limb| {
+            plan.dyadic().mul_neg_add2_assign(limb, &b[i], &c[i], &d[i])
+        });
     }
 
     /// `a[i][j] = a[i][j]·b[i][j] + c[i][j] + d[i][j] mod q_i` — the
@@ -521,11 +466,9 @@ impl RnsNttEngine {
             c.len() >= a.len() && d.len() >= a.len(),
             "fewer addend limbs than targets"
         );
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().mul_add2_assign(limb, &b[i], &c[i], &d[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
+        self.for_each_limb(a, |i, plan, limb| {
+            plan.dyadic().mul_add2_assign(limb, &b[i], &c[i], &d[i])
+        });
     }
 
     /// `a[i][j] = (a[i][j] − b[i][j])·s[i] mod q_i` — the rescale shape
@@ -541,11 +484,9 @@ impl RnsNttEngine {
     pub fn sub_scalar_mul_all(&self, a: &mut [Vec<u64>], b: &[Vec<u64>], s: &[u64]) {
         assert!(b.len() >= a.len(), "fewer subtrahend limbs than targets");
         assert!(s.len() >= a.len(), "fewer scalars than limbs");
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().sub_scalar_mul_assign(limb, &b[i], s[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
+        self.for_each_limb(a, |i, plan, limb| {
+            plan.dyadic().sub_scalar_mul_assign(limb, &b[i], s[i])
+        });
     }
 
     /// Forward NTT of every limb with the last stage fused into the
@@ -605,12 +546,9 @@ impl RnsNttEngine {
     /// `b` carries fewer limbs; and if any limb's length differs from
     /// `N`.
     pub fn dyadic_mul_pair_all(&self, a0: &mut [Vec<u64>], a1: &mut [Vec<u64>], b: &[Vec<u64>]) {
-        let k = a0.len();
-        assert_eq!(k, a1.len(), "component limb counts differ");
-        assert!(k <= self.plans.len(), "more limbs than plans");
-        assert!(b.len() >= k, "fewer multiplier limbs than targets");
-        let work = |i: usize, x0: &mut Vec<u64>, x1: &mut Vec<u64>| {
-            let d = self.plans[i].dyadic();
+        assert!(b.len() >= a0.len(), "fewer multiplier limbs than targets");
+        self.for_each_limb_pair(a0, a1, |i, plan, x0, x1| {
+            let d = plan.dyadic();
             // Enter b_i once (pooled scratch), multiply both components
             // against the premultiplied form — one conversion pass
             // amortized over two products.
@@ -620,24 +558,6 @@ impl RnsNttEngine {
             d.mul_assign_premul(x0, &pre);
             d.mul_assign_premul(x1, &pre);
             self.pool.put(pre);
-        };
-        let threads = self.threads.min(k);
-        if threads <= 1 || 2 * k * self.n < DYADIC_PARALLEL_THRESHOLD {
-            for (i, (x0, x1)) in a0.iter_mut().zip(a1.iter_mut()).enumerate() {
-                work(i, x0, x1);
-            }
-            return;
-        }
-        let chunk = k.div_ceil(threads);
-        let work = &work;
-        std::thread::scope(|s| {
-            for (t, (c0, c1)) in a0.chunks_mut(chunk).zip(a1.chunks_mut(chunk)).enumerate() {
-                s.spawn(move || {
-                    for (j, (x0, x1)) in c0.iter_mut().zip(c1.iter_mut()).enumerate() {
-                        work(t * chunk + j, x0, x1);
-                    }
-                });
-            }
         });
     }
 
@@ -662,15 +582,13 @@ impl RnsNttEngine {
         a: &[Vec<u64>],
     ) {
         let k = acc0.len();
-        assert_eq!(k, acc1.len(), "accumulator limb counts differ");
-        assert!(k <= self.plans.len(), "more limbs than plans");
         assert!(d.len() >= k, "fewer digit limbs than accumulators");
         assert!(
             b.len() >= k && a.len() >= k,
             "fewer key limbs than accumulators"
         );
-        let work = |i: usize, x0: &mut Vec<u64>, x1: &mut Vec<u64>| {
-            let dy = self.plans[i].dyadic();
+        self.for_each_limb_pair(acc0, acc1, |i, plan, x0, x1| {
+            let dy = plan.dyadic();
             // Enter d_i once (pooled scratch); each product folds
             // straight into its accumulator through the fused
             // multiply-accumulate — no per-product scratch buffer and
@@ -681,28 +599,6 @@ impl RnsNttEngine {
             dy.mul_acc_assign_premul(x0, &b[i], &pre);
             dy.mul_acc_assign_premul(x1, &a[i], &pre);
             self.pool.put(pre);
-        };
-        let threads = self.threads.min(k);
-        if threads <= 1 || 2 * k * self.n < DYADIC_PARALLEL_THRESHOLD {
-            for (i, (x0, x1)) in acc0.iter_mut().zip(acc1.iter_mut()).enumerate() {
-                work(i, x0, x1);
-            }
-            return;
-        }
-        let chunk = k.div_ceil(threads);
-        let work = &work;
-        std::thread::scope(|s| {
-            for (t, (c0, c1)) in acc0
-                .chunks_mut(chunk)
-                .zip(acc1.chunks_mut(chunk))
-                .enumerate()
-            {
-                s.spawn(move || {
-                    for (j, (x0, x1)) in c0.iter_mut().zip(c1.iter_mut()).enumerate() {
-                        work(t * chunk + j, x0, x1);
-                    }
-                });
-            }
         });
     }
 
@@ -715,11 +611,9 @@ impl RnsNttEngine {
     /// limbs are supplied.
     pub fn dyadic_scalar_mul_all(&self, a: &mut [Vec<u64>], s: &[u64]) {
         assert!(s.len() >= a.len(), "fewer scalars than limbs");
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().scalar_mul_assign(limb, s[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
+        self.for_each_limb(a, |i, plan, limb| {
+            plan.dyadic().scalar_mul_assign(limb, s[i])
+        });
     }
 
     /// `a[i][j] = a[i][j] + b[i][j] mod q_i`, RNS-wide.
@@ -729,11 +623,7 @@ impl RnsNttEngine {
     /// Same contract as [`Self::dyadic_mul_all`].
     pub fn add_assign_all(&self, a: &mut [Vec<u64>], b: &[Vec<u64>]) {
         assert!(b.len() >= a.len(), "fewer addend limbs than targets");
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().add_assign(limb, &b[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
+        self.for_each_limb(a, |i, plan, limb| plan.dyadic().add_assign(limb, &b[i]));
     }
 
     /// `a[i][j] = a[i][j] − b[i][j] mod q_i`, RNS-wide.
@@ -743,11 +633,7 @@ impl RnsNttEngine {
     /// Same contract as [`Self::dyadic_mul_all`].
     pub fn sub_assign_all(&self, a: &mut [Vec<u64>], b: &[Vec<u64>]) {
         assert!(b.len() >= a.len(), "fewer subtrahend limbs than targets");
-        self.for_each_limb_threshold(
-            a,
-            |i, plan, limb| plan.dyadic().sub_assign(limb, &b[i]),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
+        self.for_each_limb(a, |i, plan, limb| plan.dyadic().sub_assign(limb, &b[i]));
     }
 
     /// `a[i][j] = −a[i][j] mod q_i`, RNS-wide.
@@ -756,128 +642,61 @@ impl RnsNttEngine {
     ///
     /// Panics if `a` has more limbs than plans.
     pub fn neg_assign_all(&self, a: &mut [Vec<u64>]) {
-        self.for_each_limb_threshold(
-            a,
-            |_, plan, limb| plan.dyadic().neg_assign(limb),
-            DYADIC_PARALLEL_THRESHOLD,
-        );
+        self.for_each_limb(a, |_, plan, limb| plan.dyadic().neg_assign(limb));
     }
 
-    /// Applies `f(i, plan_i, limb_i)` to every limb, splitting the limbs
-    /// into contiguous chunks across scoped threads. Small batches
-    /// (`limbs × N` below [`PARALLEL_THRESHOLD`]) run serially: thread
-    /// spawn costs more than it saves there.
+    /// Applies `f(i, plan_i, limb_i)` to every limb through
+    /// [`Self::fan_out`].
     fn for_each_limb<F>(&self, limbs: &mut [Vec<u64>], f: F)
     where
         F: Fn(usize, &NttPlan, &mut Vec<u64>) + Sync,
     {
-        self.for_each_limb_threshold(limbs, f, PARALLEL_THRESHOLD);
+        assert!(limbs.len() <= self.plans.len(), "more limbs than plans");
+        self.fan_out(limbs, self.n, |i, limb| f(i, &self.plans[i], limb));
     }
 
-    /// [`Self::for_each_limb`] with an explicit serial/parallel cutoff
-    /// (the dyadic ops amortize spawns over less work per limb).
-    fn for_each_limb_threshold<F>(&self, limbs: &mut [Vec<u64>], f: F, threshold: usize)
+    /// Applies `f(i, plan_i, a0_i, a1_i)` to every limb of a
+    /// two-component (ciphertext-shaped) pair through [`Self::fan_out`].
+    fn for_each_limb_pair<F>(&self, a0: &mut [Vec<u64>], a1: &mut [Vec<u64>], f: F)
     where
-        F: Fn(usize, &NttPlan, &mut Vec<u64>) + Sync,
+        F: Fn(usize, &NttPlan, &mut Vec<u64>, &mut Vec<u64>) + Sync,
     {
-        let k = limbs.len();
-        assert!(k <= self.plans.len(), "more limbs than plans");
-        let plans = &self.plans[..k];
+        assert_eq!(a0.len(), a1.len(), "component limb counts differ");
+        assert!(a0.len() <= self.plans.len(), "more limbs than plans");
+        let mut pairs: Vec<_> = a0.iter_mut().zip(a1.iter_mut()).collect();
+        self.fan_out(&mut pairs, 2 * self.n, |i, (x0, x1)| {
+            f(i, &self.plans[i], x0, x1)
+        });
+    }
+
+    /// The limb fan-out: applies `f(i, item_i)` to every item, splitting
+    /// the items into contiguous chunks across scoped threads. Calls
+    /// touching fewer than [`PARALLEL_THRESHOLD`] words (`items ×
+    /// words_per_item`) run serially.
+    fn fan_out<T, F>(&self, items: &mut [T], words_per_item: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
+    {
+        let k = items.len();
         let threads = self.threads.min(k);
-        if threads <= 1 || k * self.n < threshold {
-            for (i, (plan, limb)) in plans.iter().zip(limbs.iter_mut()).enumerate() {
-                f(i, plan, limb);
+        if threads <= 1 || k * words_per_item < PARALLEL_THRESHOLD {
+            for (i, item) in items.iter_mut().enumerate() {
+                f(i, item);
             }
             return;
         }
         let chunk = k.div_ceil(threads);
         let f = &f;
         std::thread::scope(|s| {
-            for (t, (pc, lc)) in plans.chunks(chunk).zip(limbs.chunks_mut(chunk)).enumerate() {
+            for (t, c) in items.chunks_mut(chunk).enumerate() {
                 s.spawn(move || {
-                    for (j, (plan, limb)) in pc.iter().zip(lc.iter_mut()).enumerate() {
-                        f(t * chunk + j, plan, limb);
+                    for (j, item) in c.iter_mut().enumerate() {
+                        f(t * chunk + j, item);
                     }
                 });
             }
         });
-    }
-}
-
-/// Parses a raw `ABC_FHE_THREADS` value: `None` or a blank string means
-/// "no override" (`Ok(None)`); a thread count in `1..=64` wins.
-///
-/// Pure so the policy is testable without mutating process environment;
-/// env readers go through [`threads_from_env`].
-///
-/// # Errors
-///
-/// Anything else — garbage, `0`, out-of-range — is an error naming the
-/// variable and the accepted range. A typo'd override must not silently
-/// bench on a default thread count.
-pub fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(raw) = raw else { return Ok(None) };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    match trimmed.parse::<usize>() {
-        Ok(t) if (1..=64).contains(&t) => Ok(Some(t)),
-        _ => Err(format!(
-            "{THREADS_ENV}={raw:?} is not a thread count in 1..=64 \
-             (unset it or pass e.g. {THREADS_ENV}=4)"
-        )),
-    }
-}
-
-/// Resolves the engine thread count: a valid `ABC_FHE_THREADS` value in
-/// `1..=64` wins; unset/blank falls back to the machine's available
-/// parallelism, capped at 8.
-///
-/// # Panics
-///
-/// Panics with one clear message on an invalid override (see
-/// [`parse_threads`]) — engines are constructed at startup, where
-/// failing fast beats silently running every benchmark on the wrong
-/// thread count.
-pub fn threads_from_env() -> usize {
-    match parse_threads(std::env::var(THREADS_ENV).ok().as_deref()) {
-        Ok(Some(t)) => t,
-        Ok(None) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8),
-        Err(msg) => panic!("{msg}"),
-    }
-}
-
-#[cfg(test)]
-mod env_tests {
-    use super::*;
-
-    #[test]
-    fn unset_or_blank_means_no_override() {
-        assert_eq!(parse_threads(None).expect("unset"), None);
-        assert_eq!(parse_threads(Some("")).expect("blank"), None);
-        assert_eq!(parse_threads(Some("  ")).expect("spaces"), None);
-    }
-
-    #[test]
-    fn valid_counts_win_with_whitespace_tolerance() {
-        assert_eq!(parse_threads(Some("1")).expect("1"), Some(1));
-        assert_eq!(parse_threads(Some(" 8 ")).expect("8"), Some(8));
-        assert_eq!(parse_threads(Some("64")).expect("64"), Some(64));
-    }
-
-    #[test]
-    fn garbage_and_out_of_range_are_loud_errors() {
-        for bad in ["four", "-2", "0", "65", "1000", "3.5", "8x"] {
-            let msg = parse_threads(Some(bad)).expect_err(bad);
-            assert!(
-                msg.contains(THREADS_ENV) && msg.contains("1..=64"),
-                "error for {bad:?} must name the variable and range: {msg}"
-            );
-        }
     }
 }
 
@@ -1010,8 +829,8 @@ mod tests {
 
     #[test]
     fn mul_acc_pair_matches_manual_across_thread_counts() {
-        // 2·k·n = 2^16 reaches DYADIC_PARALLEL_THRESHOLD at k = 4,
-        // n = 2^13, so the threaded path really runs.
+        // 2·k·n = 2^16 clears PARALLEL_THRESHOLD at k = 4, n = 2^13,
+        // so the threaded path really runs.
         let n = 1usize << 13;
         let ms = moduli(4, 2 * n as u64);
         let d = pseudo_limbs(&ms, n, 11);
@@ -1039,8 +858,8 @@ mod tests {
 
     #[test]
     fn fused_ops_match_unfused_sequences_across_thread_counts() {
-        // k·n = 8·2^13 = 2^16 reaches both PARALLEL_THRESHOLD and
-        // DYADIC_PARALLEL_THRESHOLD, so the threaded paths really run.
+        // k·n = 8·2^13 = 2^16 clears PARALLEL_THRESHOLD, so the
+        // threaded paths really run.
         let n = 1usize << 13;
         let ms = moduli(8, 2 * n as u64);
         let k = ms.len();
@@ -1171,18 +990,5 @@ mod tests {
         let engine = RnsNttEngine::with_threads(&ms, n, 1).unwrap();
         let mut limbs = vec![vec![0u64; n]; 3];
         engine.forward_all(&mut limbs);
-    }
-
-    #[test]
-    fn env_override_is_honoured() {
-        let mut env = abc_math::envtest::EnvGuard::lock();
-        env.set(THREADS_ENV, "3");
-        let n = 16usize;
-        let ms = moduli(1, 2 * n as u64);
-        let engine = RnsNttEngine::new(&ms, n).unwrap();
-        drop(env);
-        assert_eq!(engine.threads(), 3);
-        // Invalid values fall back to the default.
-        assert!(threads_from_env() >= 1);
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests pinning the embedding-FFT kernel lattice together:
-//! every [`FftKernelPreference`], every thread count the engine uses,
-//! the streaming shuffler, and the SoA split/merge helpers must agree
-//! with the planned scalar kernel.
+//! every [`FftKernelPreference`], the engine, the streaming shuffler,
+//! and the SoA split/merge helpers must agree with the planned scalar
+//! kernel.
 //!
 //! The AVX-512 kernel preserves the scalar operation order exactly
 //! (4-multiply complex product, no FMA contraction), so the pinned
@@ -58,10 +58,10 @@ proptest! {
         }
     }
 
-    // The engine's intra-transform threading (1, 2, 4 workers) never
-    // changes a bit relative to the serial planned kernel.
+    // The engine (Auto-dispatched plan + pooled buffers) never changes
+    // a bit relative to the scalar planned kernel.
     #[test]
-    fn engine_threading_bit_identical(seed in any::<u64>(), log_slots in 4u32..=12) {
+    fn engine_matches_scalar_plan(seed in any::<u64>(), log_slots in 4u32..=12) {
         let slots = 1usize << log_slots;
         let reference = scalar_plan(slots);
         let msg = message(slots, seed);
@@ -69,15 +69,13 @@ proptest! {
         reference.forward(&mut want);
         let mut want_inv = msg.clone();
         reference.inverse(&mut want_inv);
-        for threads in [1usize, 2, 4] {
-            let engine = SpecialFftEngine::with_threads(F64Field, slots, threads);
-            let mut got = msg.clone();
-            engine.forward(&mut got);
-            prop_assert_eq!(&got, &want, "forward t={}", threads);
-            let mut got = msg.clone();
-            engine.inverse(&mut got);
-            prop_assert_eq!(&got, &want_inv, "inverse t={}", threads);
-        }
+        let engine = SpecialFftEngine::new(F64Field, slots);
+        let mut got = msg.clone();
+        engine.forward(&mut got);
+        prop_assert_eq!(&got, &want, "forward");
+        let mut got = msg;
+        engine.inverse(&mut got);
+        prop_assert_eq!(&got, &want_inv, "inverse");
     }
 
     // The streaming (shuffle-buffer) transform matches the planned

@@ -148,8 +148,8 @@ proptest! {
     fn rns_dyadic_ops_invariant_under_thread_count(seed in any::<u64>(), limbs in 1usize..6) {
         // The engine-wide dyadic calls must equal the serial per-limb
         // DyadicEngine loop for every thread fan-out, bit for bit.
-        // limbs × N reaches 5 × 2^14 > DYADIC_PARALLEL_THRESHOLD
-        // (= 2^16), so the widest cases really spawn threads.
+        // limbs × N reaches 5 × 2^14 > PARALLEL_THRESHOLD (= 2^14), so
+        // every multi-limb case really spawns threads.
         let n = 1usize << 14;
         let pool = generate_ntt_primes(36, limbs, 1 << 15).expect("primes");
         let moduli: Vec<Modulus> = pool
@@ -377,15 +377,14 @@ proptest! {
     }
 
     #[test]
-    fn fft_engine_invariant_under_thread_count(
+    fn fft_engine_matches_plan(
         seed in any::<u64>(),
         log_slots in 9u32..12,
         vectors in 8usize..13,
     ) {
-        // Batched + threaded embedding FFTs must equal the serial shared
-        // plan for every thread fan-out — bit for bit. The minimum case
-        // (8 × 2^9 slots) sits at the engine's PARALLEL_THRESHOLD, so
-        // every iteration really spawns threads.
+        // Embedding FFTs through the engine (one engine reused across a
+        // stream of vectors, pooled buffers) must equal the shared plan
+        // bit for bit.
         let slots = 1usize << log_slots;
         let batch0: Vec<Vec<Complex>> = (0..vectors as u64)
             .map(|k| fft_message(slots, seed.wrapping_add(k)))
@@ -399,15 +398,17 @@ proptest! {
         for v in inv_ref.iter_mut() {
             plan.inverse(v);
         }
-        for threads in [1usize, 2, 4] {
-            let engine = SpecialFftEngine::with_threads(F64Field, slots, threads);
-            let mut fwd = batch0.clone();
-            engine.forward_batch(&mut fwd);
-            prop_assert_eq!(&fwd, &fwd_ref, "forward threads = {}", threads);
-            let mut inv = batch0.clone();
-            engine.inverse_batch(&mut inv);
-            prop_assert_eq!(&inv, &inv_ref, "inverse threads = {}", threads);
+        let engine = SpecialFftEngine::new(F64Field, slots);
+        let mut fwd = batch0.clone();
+        for v in fwd.iter_mut() {
+            engine.forward(v);
         }
+        prop_assert_eq!(&fwd, &fwd_ref, "forward");
+        let mut inv = batch0;
+        for v in inv.iter_mut() {
+            engine.inverse(v);
+        }
+        prop_assert_eq!(&inv, &inv_ref, "inverse");
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! invariant under its thread fan-out.
 
 use abc_fhe::math::{primes::generate_ntt_primes, Modulus};
-use abc_fhe::transform::rns_ntt::{threads_from_env, THREADS_ENV};
 use abc_fhe::transform::{KernelPreference, NttPlan, RnsNttEngine};
 
 fn preset_moduli(log_n: u32, count: usize) -> Vec<Modulus> {
@@ -81,33 +80,5 @@ fn rns_engine_bit_identical_across_presets_and_threads() {
             engine.inverse_all(&mut limbs);
             assert_eq!(limbs, original, "inverse log_n={log_n} threads={threads}");
         }
-    }
-}
-
-#[test]
-fn abc_fhe_threads_env_controls_engine() {
-    // `ABC_FHE_THREADS` pins the fan-out of engines built with
-    // `RnsNttEngine::new` — and the result stays bit-identical to the
-    // serial reference. (Other tests in this binary construct engines
-    // only through `with_threads`, so the temporary override is safe.)
-    let mut env = abc_fhe::math::envtest::EnvGuard::lock();
-    env.set(THREADS_ENV, "4");
-    assert_eq!(threads_from_env(), 4);
-    let n = 1usize << 13;
-    let moduli = preset_moduli(13, 4);
-    let engine = RnsNttEngine::new(&moduli, n).expect("engine");
-    drop(env);
-    assert_eq!(engine.threads(), 4);
-    let original: Vec<Vec<u64>> = moduli
-        .iter()
-        .enumerate()
-        .map(|(i, m)| pseudo_poly(n, m.q(), 99 + i as u64))
-        .collect();
-    let mut limbs = original.clone();
-    engine.forward_all(&mut limbs);
-    for (i, m) in moduli.iter().enumerate() {
-        let mut reference = original[i].clone();
-        NttPlan::new(*m, n).expect("plan").forward(&mut reference);
-        assert_eq!(limbs[i], reference, "limb {i}");
     }
 }
